@@ -41,8 +41,9 @@ type proc struct {
 // fleet is a running cmd/route in front of fleetShards cmd/serve replicas,
 // all on 127.0.0.1.
 type fleet struct {
-	procs  []*proc // replicas in shard order, then the router
-	router string  // router base URL
+	procs  []*proc  // replicas in shard order, then the router
+	addrs  []string // listen address of each process, in the same order
+	router string   // router base URL
 	client *http.Client
 }
 
@@ -106,6 +107,9 @@ func startFleet(ctx context.Context, binDir, logDir string, spec fleetSpec) (*fl
 		client: &http.Client{Timeout: 30 * time.Second},
 	}
 	start := time.Now()
+	for _, p := range ports {
+		f.addrs = append(f.addrs, fmt.Sprintf("127.0.0.1:%d", p))
+	}
 	var urls []string
 	for i := 0; i < fleetShards; i++ {
 		args := []string{
@@ -145,11 +149,21 @@ func startFleet(ctx context.Context, binDir, logDir string, spec fleetSpec) (*fl
 	return f, time.Since(start), nil
 }
 
-// waitReady polls the router's /stats until it answers with every replica
-// reachable and healthy. cmd/serve binds its listener only after -warm has
-// finished, so a reachable replica is a warm one.
+// readyPoll is how often waitReady tries the fleet's listeners. A set-up
+// without -warm work lasts about 15 ms, so a coarser poll would round
+// setup_s by a large share of its value; a refused connect on 127.0.0.1
+// costs microseconds, so polling this often takes little from the
+// processes starting up.
+const readyPoll = 500 * time.Microsecond
+
+// waitReady returns once every fleet process accepts connections and the
+// router's /stats then reports every replica reachable and healthy.
+// cmd/serve binds its listener only after -warm has finished, so a
+// reachable replica is a warm one.
 func (f *fleet) waitReady(ctx context.Context) error {
 	deadline := time.Now().Add(120 * time.Second)
+	up := make([]bool, len(f.addrs))
+	var err error
 	for {
 		for _, p := range f.procs {
 			select {
@@ -158,18 +172,32 @@ func (f *fleet) waitReady(ctx context.Context) error {
 			default:
 			}
 		}
-		st, err := f.stats(ctx)
-		if err == nil && healthy(st) {
-			return nil
+		listening := true
+		for i, addr := range f.addrs {
+			if up[i] {
+				continue
+			}
+			var c net.Conn
+			if c, err = net.DialTimeout("tcp", addr, time.Second); err != nil {
+				listening = false
+				continue
+			}
+			c.Close()
+			up[i] = true
+		}
+		if listening {
+			var st shard.RouterStats
+			if st, err = f.stats(ctx); err == nil && healthy(st) {
+				return nil
+			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("fleet not ready after 120s: %v", err)
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Millisecond):
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		sleepUntil(time.Now().Add(readyPoll))
 	}
 }
 

@@ -35,11 +35,12 @@ func fleetPlat() hw.Platform { return hw.RTX4090PCIe() }
 // Open-loop rates. warmRate sits well below the warm path's knee (between
 // 2000 and 4000 req/s on a 2-vCPU host), so p99 measures service time, not
 // overload. warmLadder is the fixed ladder behind workload.slo_qps.
-// dynamicRate is mostly cache hits (see dynamicRepeat); its tuning work
-// averages about a third of one core of two over a 20 s run.
+// At dynamicRate about a third of the requests tune, which takes about a
+// quarter of one core of two, and a 30 s run's 3000 requests give the p99
+// its ten samples beyond.
 const (
 	warmRate    = 1000.0
-	dynamicRate = 180.0
+	dynamicRate = 100.0
 )
 
 var warmLadder = []float64{500, 1000, 2000, 3000}
@@ -159,21 +160,21 @@ func warmKeys(seed int64) (warmSet, error) {
 	return ws, nil
 }
 
-// Token-count mix of query-dynamic. Decode batches (M 1-256) draw M with
-// weight 1/M^decodeSkew; chunked-prefill batches under a 2048-token budget
-// (M 257-2048) draw with weight 1/(M-256)^prefillSkew. Neither is aligned
-// to a tile size, so odd M lands on TileM=1 plans of up to ~1000 waves and
-// tunes of up to ~0.3 s. Within a 20 s run the busier replica sees more
+// Token-count mix of query-dynamic. It is synthetic: no measured batch-size
+// distribution was fitted, and a claim that rests on its shares must say
+// so. Decode batches (M 1-256) draw M with weight 1/M^decodeSkew;
+// chunked-prefill batches under an 8192-token budget (M 257-8192) draw with
+// weight 1/(M-256)^prefillSkew. Neither is aligned to a tile size, so odd M
+// lands on TileM=1 plans with many waves, and the rare large prefill M tunes
+// for a fifth of a second or more. Within a run the busier replica sees more
 // distinct keys than its 256-entry shape cache holds, so the run also pays
-// evictions and re-tunes. (An 8192-token budget adds 1.6 s tunes; two of
-// them at once block both generator connections, and p99 then varied
-// fivefold between seeds.)
+// evictions and re-tunes.
 const (
 	decodeShare = 0.9
 	decodeSkew  = 0.4
 	prefillSkew = 1.5
 	decodeMax   = 256
-	prefillMax  = 2048
+	prefillMax  = 8192
 )
 
 // llamaAROps returns the GEMM+AllReduce shapes of Llama-3-70B at TP 4 for
@@ -216,15 +217,10 @@ func (z skewed) draw(rng *rand.Rand) int {
 // dynamicPopulation seeds the draw of query-dynamic's request population.
 // It is fixed: every run offers the same keys with the same frequencies,
 // and the run's seed only orders them and draws their arrival times. The
-// few most expensive tunes set this workload's tail, so a population drawn
-// per seed measured the draw, not the code (p99 moved tenfold across five
-// seeds).
+// few most expensive tunes set this workload's tail and much of its CPU,
+// so a population drawn per seed measured the draw, not the code (p99
+// moved tenfold across five seeds).
 const dynamicPopulation = 0x5eed
-
-// dynamicRepeat is how often each drawn request recurs in the schedule:
-// repeats are cache hits, so they multiply the samples behind the p99
-// without adding tuning work.
-const dynamicRepeat = 3
 
 // dynamicEvents is query-dynamic's schedule: rate×d requests, each a
 // Llama-3-70B GEMM+AllReduce op at a skewed, unaligned token count, in a
@@ -236,10 +232,6 @@ func dynamicEvents(seed int64, rate float64, d time.Duration) []Event {
 	pre := newSkewed(decodeMax+1, prefillMax, prefillSkew)
 	draws := make([]Event, n)
 	for i := range draws {
-		if i%dynamicRepeat != 0 {
-			draws[i] = draws[i-i%dynamicRepeat]
-			continue
-		}
 		decode := pop.Float64() < decodeShare
 		tenant, m := "decode", 0
 		if decode {

@@ -208,6 +208,29 @@ func replayTuner(ctx context.Context, spec fleetSpec, events []Event) (tunerRepl
 	return out, nil
 }
 
+// longPrefillM are the largest unaligned prefill token counts under
+// query-dynamic's budget. Their tunes are the tuner's hot spot at its
+// worst — TileM=1 plans of thousands of waves — and the workload's skewed
+// draw reaches them too rarely for its own tune percentiles to show them.
+var longPrefillM = []int{prefillMax/2 - 1, prefillMax - 1}
+
+// timeLongPrefillTunes returns the seconds tuner.Tune takes, in a fresh
+// replica-configured tuner, on every AR op at each longPrefillM.
+func timeLongPrefillTunes(ctx context.Context) (float64, error) {
+	busy := time.Duration(0)
+	for _, m := range longPrefillM {
+		for _, s := range llamaAROps(m, false) {
+			tn := newRefTuner(hw.AllReduce)
+			start := time.Now()
+			if _, err := tn.Tune(ctx, s, 0); err != nil {
+				return 0, err
+			}
+			busy += time.Since(start)
+		}
+	}
+	return busy.Seconds(), nil
+}
+
 // timePlans times gemm.NewPlan on every event's shape.
 func timePlans(events []Event) ([]float64, error) {
 	out := make([]float64, 0, len(events))

@@ -4,7 +4,7 @@
 // checks every answer against an in-process reference, and prints one JSON
 // result line:
 //
-//	bash perfbench/run.sh --workload query-warm --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload query-warm --seed 1 --seconds 30 --trace 0
 //
 // Workloads:
 //
@@ -68,7 +68,7 @@ func main() {
 	var seconds, trace int
 	flag.StringVar(&c.workload, "workload", "", "workload: query-warm, query-dynamic or sweep-mixed")
 	flag.Int64Var(&c.seed, "seed", 1, "input seed: the same seed gives the same inputs")
-	flag.IntVar(&seconds, "seconds", 20, "measured seconds of load per run")
+	flag.IntVar(&seconds, "seconds", 30, "measured seconds of load per run")
 	flag.IntVar(&trace, "trace", 0, "1 = report per-layer metrics instead of end-to-end ones")
 	flag.StringVar(&c.binDir, "bin", "", "directory holding the serve and route binaries")
 	flag.StringVar(&c.logDir, "logs", "", "directory for the fleet's logs")
@@ -157,13 +157,14 @@ type metricDef struct{ name, unit string }
 
 // e2eMetrics are what a user of the fleet sees, printed with --trace 0 on
 // every workload. fail_frac is not among them: it is 0 on a healthy run,
-// and the result line's attempted and failed fields carry it. Client
-// latency is a per-layer metric (workload.p50_ms, workload.p99_ms): on a
-// shared virtual host it moves with the hypervisor's steal, not the code
-// (LAYERS.md gives the measurements).
+// and the result line's attempted and failed fields carry it. p99 is a
+// per-layer metric (workload.p99_ms): on a shared virtual host it moves
+// with the hypervisor's steal more than with the code (LAYERS.md gives the
+// measurements).
 var e2eMetrics = []metricDef{
 	{"setup_s", "s"},
 	{"items_per_s", "items/s"},
+	{"p50_ms", "ms"},
 	{"fleet_cpu_ms_per_item", "ms"},
 	{"peak_rss_mb", "MB"},
 }
@@ -171,7 +172,6 @@ var e2eMetrics = []metricDef{
 // layerMetrics are printed with --trace 1 on every workload; a layer the
 // workload does not exercise reads 0. Ratios come with their base count.
 var layerMetrics = []metricDef{
-	{"workload.p50_ms", "ms"},
 	{"workload.p99_ms", "ms"},
 	{"workload.requests", "count"},
 	{"workload.send_lag_p99_ms", "ms"},
@@ -215,6 +215,7 @@ var layerMetrics = []metricDef{
 	{"tuner.candidates_mean", "count"},
 	{"tuner.lookup_us_p50", "us"},
 	{"tuner.evictions", "count"},
+	{"tuner.long_prefill_tune_s", "s"},
 	{"gemm.new_plan_us_p50", "us"},
 	{"engine.mixed_batch_ms", "ms"},
 	{"engine.refined_share", "ratio"},

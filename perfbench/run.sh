@@ -2,13 +2,15 @@
 # Builds the fleet binaries (cmd/serve, cmd/route) and the benchmark from
 # the tree this script sits in, then runs one benchmark workload:
 #
-#   bash perfbench/run.sh --workload query-warm --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload query-warm --seed 1 --seconds 30 --trace 0
 #
-# Run it from the repository root. Every build output, the Go build cache
-# and the fleet logs stay under .bench_build/ in that root.
+# It always measures the tree it sits in, from whatever directory it is
+# started. Every build output, the Go build cache and the fleet logs stay
+# under .bench_build/ in that tree's root.
 set -euo pipefail
 
-root=$(pwd)
+root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root"
 out="$root/.bench_build"
 mkdir -p "$out/bin"
 export GOCACHE="$out/gocache" XDG_CONFIG_HOME="$out/config" GOPROXY=off GOTOOLCHAIN=local GOFLAGS=

@@ -44,7 +44,7 @@ func TestTailRule(t *testing.T) {
 // The open-loop workloads are sized so that their p99 holds under the tail
 // rule at the benchmark's run length, on any seed.
 func TestSchedulesMeetTailRule(t *testing.T) {
-	const runLength = 20 * time.Second
+	const runLength = 30 * time.Second
 	for seed := int64(1); seed <= 10; seed++ {
 		if n := len(dynamicEvents(seed, dynamicRate, runLength)); n < 100*(minTail+1) {
 			t.Errorf("query-dynamic seed %d: %d requests, too few for a p99", seed, n)
