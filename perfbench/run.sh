@@ -14,6 +14,11 @@ cd "$root"
 out="$root/.bench_build"
 mkdir -p "$out/bin"
 export GOCACHE="$out/gocache" XDG_CONFIG_HOME="$out/config" GOPROXY=off GOTOOLCHAIN=local GOFLAGS=
+# With telemetry on (the default "local" mode), a go command daemonizes a
+# sidecar process that outlives it. "go telemetry off" starts none itself
+# and records the mode under XDG_CONFIG_HOME, so no later go command here
+# starts one either.
+go telemetry off >&2
 
 # Build output goes to stderr: the last line of stdout is the result.
 go build -o "$out/bin/" ./cmd/serve ./cmd/route >&2

@@ -75,6 +75,29 @@ func latencyQuantiles(xs []float64) (p50, p99 float64, err error) {
 	return p50, p99, nil
 }
 
+// p50WindowMin is the fewest samples windowedP50 takes a median over. A
+// median needs no tail, so a run too short for twenty p99 windows still
+// gives twenty p50 windows.
+const p50WindowMin = 100
+
+// windowedP50 is the p50 of latencyQuantiles with windows of at least
+// p50WindowMin samples: the lower quartile, over up to maxWindows
+// consecutive windows of xs, of the window medians.
+func windowedP50(xs []float64) (float64, error) {
+	if len(xs) < p50WindowMin {
+		return 0, fmt.Errorf("p50 of %d samples, need %d: measure longer", len(xs), p50WindowMin)
+	}
+	k := min(maxWindows, len(xs)/p50WindowMin)
+	p50s := make([]float64, k)
+	for w := range p50s {
+		p50s[w], _ = quantile(sortedCopy(xs[w*len(xs)/k:(w+1)*len(xs)/k]), 0.5)
+	}
+	sort.Float64s(p50s)
+	p50, _ := quantile(p50s, 0.25)
+	fmt.Fprintf(os.Stderr, "perfbench: windowed p50 %.3f ms over %d samples; windows %.3f\n", p50, len(xs), p50s)
+	return p50, nil
+}
+
 // median is the 0.5 quantile of an unsorted slice (which it sorts).
 func median(xs []float64) float64 {
 	sort.Float64s(xs)

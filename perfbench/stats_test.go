@@ -73,3 +73,35 @@ func TestSelfTime(t *testing.T) {
 		t.Errorf("self time = %v, want 60ms", got)
 	}
 }
+
+// TestCacheLatencies checks that only the shape cache's answers count
+// towards query-dynamic's p50_ms.
+func TestCacheLatencies(t *testing.T) {
+	samples := []sample{
+		{status: 200, body: []byte(`{"source":"cache","waves":4}`)},
+		{status: 200, body: []byte(`{"source":"tuned","waves":4}`)},
+		{status: 500, body: []byte(`{"source":"cache"}`)},
+		{status: 200, body: []byte(`{"source":"cache","waves":8}`)},
+	}
+	got := cacheLatencies(samples, []float64{1, 2, 3, 4})
+	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("cacheLatencies = %v, want [1 4]", got)
+	}
+}
+
+// windowedP50 takes the lower quartile of the window medians, and refuses
+// too few samples rather than report a median of a handful.
+func TestWindowedP50(t *testing.T) {
+	xs := make([]float64, 0, 2000)
+	for w := 0; w < 20; w++ {
+		for i := 0; i < 100; i++ {
+			xs = append(xs, float64(20-w))
+		}
+	}
+	if v, err := windowedP50(xs); err != nil || v != 5 {
+		t.Errorf("windowedP50 of windows 20..1 = %v (%v), want 5", v, err)
+	}
+	if _, err := windowedP50(xs[:p50WindowMin-1]); err == nil {
+		t.Error("windowedP50 accepted too few samples")
+	}
+}
