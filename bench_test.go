@@ -357,6 +357,55 @@ func imbalanceFor(p hw.Primitive) float64 {
 	return 0
 }
 
+// localClients builds an in-process fleet (LocalClients, no network) of
+// shards replicas of one platform, each owning its slice of the shape
+// plane. Every replica shares one sampled bandwidth curve per listed
+// primitive, like a production rollout seeding Config.Curves.
+func localClients(tb testing.TB, plat hw.Platform, nGPUs, shards int, prims ...hw.Primitive) []shard.Client {
+	tb.Helper()
+	curves := make(map[hw.Primitive]*stats.Curve, len(prims))
+	for _, p := range prims {
+		curves[p] = tuner.SampleBandwidthCurve(plat, nGPUs, p, nil)
+	}
+	clients := make([]shard.Client, shards)
+	for k := range clients {
+		a := shard.Assignment{Index: k, Count: shards}
+		svc, err := serve.New(serve.Config{
+			Plat:           plat,
+			NGPUs:          nGPUs,
+			CandidateLimit: 128,
+			Owns:           a.Owns,
+			Shard:          a.String(),
+			Curves:         curves,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		clients[k] = &shard.LocalClient{Svc: svc}
+	}
+	return clients
+}
+
+// localCoordinator puts a coordinator over a fresh localClients fleet.
+func localCoordinator(tb testing.TB, plat hw.Platform, nGPUs, shards int, prims ...hw.Primitive) *shard.Coordinator {
+	tb.Helper()
+	router, err := shard.NewRouter(localClients(tb, plat, nGPUs, shards, prims...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return shard.NewCoordinator(router)
+}
+
+// sweepItems converts engine runs to untuned wire sweep items; the fleet's
+// platform and group size stand in for each run's.
+func sweepItems(runs []core.Options) []serve.SweepItem {
+	items := make([]serve.SweepItem, len(runs))
+	for i, o := range runs {
+		items[i] = serve.SweepItem{M: o.Shape.M, N: o.Shape.N, K: o.Shape.K, Prim: o.Prim.Short(), Imbalance: o.Imbalance, Fidelity: string(o.Fidelity)}
+	}
+	return items
+}
+
 // Raw simulator throughput: one overlapped run end to end.
 func BenchmarkOverlapRunDES(b *testing.B) {
 	opts := core.Options{Plat: hw.RTX4090PCIe(), NGPUs: 4, Shape: gemm.Shape{M: 4096, N: 8192, K: 8192}, Prim: hw.AllReduce}
@@ -440,42 +489,27 @@ func BenchmarkEngineAnalyticExec(b *testing.B) {
 }
 
 // Mixed-fidelity sweep throughput: the quick Table 3 shapes crossed with
-// AR/RS/A2A, swept through the sharded mixed pipeline (whole grid analytic,
-// DES only for the top-k per rank cell) and, for comparison, at full DES
-// fidelity. The headline mixed-sweep-ns/item is a fastest-batch measurement
-// over warm caches; mixed-speedup-vs-des is the quantity the mixed mode
-// exists for and must stay well above 1.
+// AR/RS/A2A, swept by a Coordinator over four in-process replicas at mixed
+// fidelity (whole grid analytic, DES only for the top-k per rank cell) and,
+// for comparison, at full DES fidelity. The headline mixed-sweep-ns/item is
+// a fastest-batch measurement over warm caches; mixed-speedup-vs-des is the
+// quantity the mixed mode exists for and must stay well above 1.
 func BenchmarkMixedFidelitySweep(b *testing.B) {
-	seen := map[gemm.Shape]bool{}
-	var shapes []gemm.Shape
-	for _, grid := range expt.Table3Grids(true) {
-		for _, s := range grid.Shapes {
-			if !seen[s] {
-				seen[s] = true
-				shapes = append(shapes, s)
-			}
-		}
-	}
-	var runs []core.Options
-	for _, s := range shapes {
-		for _, p := range []hw.Primitive{hw.AllReduce, hw.ReduceScatter, hw.AllToAll} {
-			runs = append(runs, core.Options{Plat: hw.RTX4090PCIe(), NGPUs: 2, Shape: s, Prim: p, Imbalance: imbalanceFor(p)})
-		}
-	}
+	items := sweepItems(quickMixedGrid())
 	const shards = 4
-	part := shard.NewPartitioner(shards)
-	engines := shard.Engines(shards, 0, 0)
-	desRuns := make([]core.Options, len(runs))
-	for i, o := range runs {
-		o.Fidelity = core.FidelityDES
-		desRuns[i] = o
+	prims := []hw.Primitive{hw.AllReduce, hw.ReduceScatter, hw.AllToAll}
+	router, err := shard.NewRouter(localClients(b, hw.RTX4090PCIe(), 2, shards, prims...))
+	if err != nil {
+		b.Fatal(err)
 	}
+	mixed, des := shard.NewCoordinator(router), shard.NewCoordinator(router)
+	mixed.Spec.Fidelity = serve.FidelityMixed
+	des.Spec.Fidelity = serve.FidelityDES
 	// Warm both tiers' plan caches and the analytic curve caches.
-	if _, _, err := shard.SweepBatchMixed(context.Background(), part, engines, runs, 0, 0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := shard.SweepBatch(context.Background(), part, engines, desRuns); err != nil {
-		b.Fatal(err)
+	for _, co := range []*shard.Coordinator{mixed, des} {
+		if _, err := co.Sweep(context.Background(), items); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	bestMixed := int64(1<<63 - 1)
@@ -485,21 +519,24 @@ func BenchmarkMixedFidelitySweep(b *testing.B) {
 		const batches = 4
 		for batch := 0; batch < batches; batch++ {
 			start := time.Now()
-			results, refined, err := shard.SweepBatchMixed(context.Background(), part, engines, runs, 0, 0)
+			results, err := mixed.Sweep(context.Background(), items)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if ns := time.Since(start).Nanoseconds(); ns < bestMixed {
 				bestMixed = ns
 			}
-			refinedItems = len(refined)
+			refinedItems = 0
 			for j, r := range results {
-				if r.Fidelity == "" {
+				switch r.Fidelity {
+				case serve.FidelityDES:
+					refinedItems++
+				case "":
 					b.Fatalf("result %d carries no fidelity label", j)
 				}
 			}
 			start = time.Now()
-			if _, err := shard.SweepBatch(context.Background(), part, engines, desRuns); err != nil {
+			if _, err := des.Sweep(context.Background(), items); err != nil {
 				b.Fatal(err)
 			}
 			if ns := time.Since(start).Nanoseconds(); ns < bestDES {
@@ -507,8 +544,8 @@ func BenchmarkMixedFidelitySweep(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(bestMixed)/float64(len(runs)), "mixed-sweep-ns/item")
-	b.ReportMetric(float64(bestDES)/float64(len(runs)), "fulldes-sweep-ns/item")
+	b.ReportMetric(float64(bestMixed)/float64(len(items)), "mixed-sweep-ns/item")
+	b.ReportMetric(float64(bestDES)/float64(len(items)), "fulldes-sweep-ns/item")
 	b.ReportMetric(float64(bestDES)/float64(bestMixed), "mixed-speedup-vs-des")
 	b.ReportMetric(float64(refinedItems), "des-refined-items")
 }
@@ -564,33 +601,47 @@ func BenchmarkServeWarmQuery(b *testing.B) {
 	b.ReportMetric(float64(best)/perBatch, "warm-ns/query")
 }
 
-// Sharded sweep throughput: the quick Table 3 grid split across shard-local
-// engines must merge back to the unsharded batch results (the router layer's
-// scaling primitive). The benchmark reports per-run cost at fleet width 4 so
-// the perf record tracks the sharding overhead, not just raw DES speed.
+// Sharded sweep throughput: the quick Table 3 grid swept by a Coordinator
+// over four in-process replicas per platform (cold plan caches each
+// iteration), which must merge back to the unsharded batch results (the
+// router layer's scaling primitive). The benchmark reports per-run cost at
+// fleet width 4 so the perf record tracks the sharding overhead, not just
+// raw DES speed.
 func BenchmarkShardSweepBatch(b *testing.B) {
-	var runs []core.Options
-	for _, grid := range expt.Table3Grids(true) {
+	const shards = 4
+	grids := expt.Table3Grids(true)
+	byPlat := map[hw.Platform][]core.Options{}
+	var plats []hw.Platform
+	total := 0
+	for _, grid := range grids {
+		if byPlat[grid.Plat] == nil {
+			plats = append(plats, grid.Plat)
+		}
 		for _, shape := range grid.Shapes {
-			runs = append(runs, core.Options{Plat: grid.Plat, NGPUs: 4, Shape: shape, Prim: grid.Prim, Imbalance: imbalanceFor(grid.Prim)})
+			byPlat[grid.Plat] = append(byPlat[grid.Plat], core.Options{Plat: grid.Plat, NGPUs: 4, Shape: shape, Prim: grid.Prim, Imbalance: imbalanceFor(grid.Prim)})
+			total++
 		}
 	}
-	const shards = 4
-	part := shard.NewPartitioner(shards)
 	b.ResetTimer()
 	var sweepNs int64
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		results, err := shard.SweepBatch(context.Background(), part, shard.Engines(shards, 0, 0), runs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweepNs += time.Since(start).Nanoseconds()
-		if len(results) != len(runs) {
-			b.Fatalf("%d results for %d runs", len(results), len(runs))
+		for _, plat := range plats {
+			b.StopTimer()
+			co := localCoordinator(b, plat, 4, shards)
+			items := sweepItems(byPlat[plat])
+			b.StartTimer()
+			start := time.Now()
+			results, err := co.Sweep(context.Background(), items)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweepNs += time.Since(start).Nanoseconds()
+			if len(results) != len(items) {
+				b.Fatalf("%d results for %d items", len(results), len(items))
+			}
 		}
 	}
-	b.ReportMetric(float64(sweepNs)/(float64(b.N)*float64(len(runs))), "sweep-ns/run")
+	b.ReportMetric(float64(sweepNs)/(float64(b.N)*float64(total)), "sweep-ns/run")
 	b.ReportMetric(shards, "shards")
 }
 
@@ -628,32 +679,11 @@ func BenchmarkServeConcurrentQuery(b *testing.B) {
 // dispatched in chunks across an in-process fleet (LocalClients, no
 // network), so the number isolates the coordinator's partition/chunk/merge
 // machinery plus the replicas' sweep execution rather than HTTP transport.
-// The reported sweep-ns/item is the multi-host analogue of
-// BenchmarkShardSweepBatch's sweep-ns/run.
+// Unlike BenchmarkShardSweepBatch it reuses one warm fleet across
+// iterations and chunks by 4.
 func BenchmarkCoordinatorSweep(b *testing.B) {
 	const shards = 4
-	curve := tuner.SampleBandwidthCurve(hw.RTX4090PCIe(), 2, hw.AllReduce, nil)
-	clients := make([]shard.Client, shards)
-	for k := range clients {
-		a := shard.Assignment{Index: k, Count: shards}
-		svc, err := serve.New(serve.Config{
-			Plat:           hw.RTX4090PCIe(),
-			NGPUs:          2,
-			CandidateLimit: 128,
-			Owns:           a.Owns,
-			Shard:          a.String(),
-			Curves:         map[hw.Primitive]*stats.Curve{hw.AllReduce: curve},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients[k] = &shard.LocalClient{Svc: svc}
-	}
-	router, err := shard.NewRouter(clients)
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := shard.NewCoordinator(router)
+	co := localCoordinator(b, hw.RTX4090PCIe(), 2, shards, hw.AllReduce)
 	co.Spec.Chunk = 4
 	var items []serve.SweepItem
 	for _, grid := range expt.Table3Grids(true) {
@@ -696,28 +726,7 @@ func BenchmarkCoordinatorSweep(b *testing.B) {
 // not O(grid), so the figure may not grow with the grid.
 func BenchmarkStreamingSweep(b *testing.B) {
 	const shards = 4
-	curve := tuner.SampleBandwidthCurve(hw.RTX4090PCIe(), 2, hw.AllReduce, nil)
-	clients := make([]shard.Client, shards)
-	for k := range clients {
-		a := shard.Assignment{Index: k, Count: shards}
-		svc, err := serve.New(serve.Config{
-			Plat:           hw.RTX4090PCIe(),
-			NGPUs:          2,
-			CandidateLimit: 128,
-			Owns:           a.Owns,
-			Shard:          a.String(),
-			Curves:         map[hw.Primitive]*stats.Curve{hw.AllReduce: curve},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients[k] = &shard.LocalClient{Svc: svc}
-	}
-	router, err := shard.NewRouter(clients)
-	if err != nil {
-		b.Fatal(err)
-	}
-	co := shard.NewCoordinator(router)
+	co := localCoordinator(b, hw.RTX4090PCIe(), 2, shards, hw.AllReduce)
 	co.Spec.Chunk = 4
 	co.Spec.Fidelity = serve.FidelityAnalytic
 	var items []serve.SweepItem
@@ -799,27 +808,8 @@ func (deadClient) Healthz(context.Context) error              { return errDeadRe
 func BenchmarkCoordinatorSweepDegraded(b *testing.B) {
 	const shards = 4
 	const dead = 0
-	curve := tuner.SampleBandwidthCurve(hw.RTX4090PCIe(), 2, hw.AllReduce, nil)
-	clients := make([]shard.Client, shards)
-	for k := range clients {
-		if k == dead {
-			clients[k] = deadClient{}
-			continue
-		}
-		a := shard.Assignment{Index: k, Count: shards}
-		svc, err := serve.New(serve.Config{
-			Plat:           hw.RTX4090PCIe(),
-			NGPUs:          2,
-			CandidateLimit: 128,
-			Owns:           a.Owns,
-			Shard:          a.String(),
-			Curves:         map[hw.Primitive]*stats.Curve{hw.AllReduce: curve},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients[k] = &shard.LocalClient{Svc: svc}
-	}
+	clients := localClients(b, hw.RTX4090PCIe(), 2, shards, hw.AllReduce)
+	clients[dead] = deadClient{}
 	var items []serve.SweepItem
 	for _, grid := range expt.Table3Grids(true) {
 		if grid.Prim != hw.AllReduce {

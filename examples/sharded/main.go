@@ -2,21 +2,22 @@
 // router in front of N serve replicas, each owning a disjoint slice of the
 // (log M·N, log K) plane. The example builds a three-replica fleet over real
 // HTTP, pre-warms each replica with only its owned shapes, drives a sharded
-// tune sweep through the router, kills a replica to show ring failover, and
-// finally runs the sharded engine sweep, verifying it merges to exactly the
-// unsharded engine.Batch results.
+// tune sweep through a Coordinator, kills a replica to show ring failover,
+// and finally runs an untuned sharded sweep over the surviving fleet,
+// verifying it merges to exactly the unsharded engine.Batch results.
 //
 //	go run ./examples/sharded
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -92,20 +93,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A sharded tune sweep: every query lands on its owner, shards tune
-	// concurrently, answers come back in input order.
-	queries := make([]serve.Query, len(representative))
+	// A sharded tune sweep: every item lands on its owner, shards tune
+	// concurrently, results come back in input order.
+	items := make([]serve.SweepItem, len(representative))
 	for i, s := range representative {
-		queries[i] = serve.Query{Shape: s, Prim: hw.AllReduce}
+		items[i] = serve.SweepItem{M: s.M, N: s.N, K: s.K, Prim: "AR"}
 	}
-	answers, err := router.SweepQueries(ctx, queries)
+	tune := shard.NewCoordinator(router)
+	tune.Spec.Tune = true
+	tuned, err := tune.Sweep(ctx, items)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsharded tune sweep over %d shapes:\n", len(queries))
-	for i, ans := range answers {
+	fmt.Printf("\nsharded tune sweep over %d shapes:\n", len(items))
+	for i, res := range tuned {
 		fmt.Printf("  %-18v -> shard %d  partition %-12v source %s\n",
-			queries[i].Shape, ans.Replica, ans.Partition, ans.Source)
+			representative[i], res.Replica, gemm.Partition(res.Partition), res.Source)
 	}
 	st := router.Stats(ctx)
 	fmt.Printf("merged fleet stats: %d hits, %d misses, %d shapes cached across %d replicas\n",
@@ -123,9 +126,9 @@ func main() {
 	fmt.Printf("\nreplica %d down: %v rerouted to replica %d (source %s, %d failovers recorded)\n",
 		victim, victimShape, ans.Replica, ans.Source, router.Stats(ctx).Failovers)
 
-	// The sharded engine sweep: split the quick Table 3 grid across
-	// shard-local engines (disjoint plan caches, like separate processes)
-	// and verify the merged results are identical to one big engine.Batch.
+	// The untuned sharded sweep: the same grid across the surviving fleet
+	// (the dead replica's items fail over), verified byte-identical to one
+	// in-process engine.Batch.
 	runs := make([]core.Options, len(representative))
 	for i, s := range representative {
 		runs[i] = core.Options{Plat: plat, NGPUs: nGPUs, Shape: s, Prim: hw.AllReduce}
@@ -134,11 +137,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharded, err := shard.SweepBatch(ctx, part, shard.Engines(nShards, 0, 0), runs)
+	swept, err := shard.NewCoordinator(router).Sweep(ctx, items)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !reflect.DeepEqual(sharded, unsharded) {
+	sharded := make([]*core.Result, len(swept))
+	for i, res := range swept {
+		sharded[i] = res.Result
+	}
+	want, _ := json.Marshal(unsharded)
+	got, _ := json.Marshal(sharded)
+	if !bytes.Equal(got, want) {
 		log.Fatal("sharded sweep diverged from unsharded engine.Batch")
 	}
 	fmt.Printf("\nsharded engine sweep: %d runs across %d shards merged byte-identical to engine.Batch\n",

@@ -67,11 +67,66 @@ func RankTopK(shapes []gemm.Shape, latencies []sim.Time, k int, quantum float64)
 	return refine
 }
 
-// MixedBatch is the mixed-fidelity sweep over one engine: the whole grid
-// runs analytically first (orders of magnitude cheaper than simulation),
-// the candidates are ranked per RankTopK cell, and only the top k per cell
-// re-run through the simulator, splicing the DES results over the analytic
-// ones. results[i] answers runs[i] with a fidelity label saying which tier
+// Mixed is the mixed-fidelity policy, written once for every sweep path:
+// the whole grid of len(shapes) items runs analytically (orders of
+// magnitude cheaper than simulation), the candidates are ranked per
+// RankTopK cell, and only the top k per cell re-run through the simulator.
+// It returns the refined (DES-confirmed) indices, ascending.
+//
+// run executes the items named by idx (global grid indices, ascending) at
+// fidelity f and calls its emit argument once per item with the item's
+// global index. It must report failures at global indices too: the mapping
+// from its own sub-grid positions back to idx is the caller's, because only
+// the caller knows its error type. latency reads the analytic latency a
+// result ranks by.
+//
+// Release order: the analytic tier is buffered (ranking is global, so
+// O(grid) is inherent to the policy); every item ranking does not pick is
+// emitted, ascending, as soon as ranking finishes, and each refinement is
+// emitted as its DES run completes. Every index is emitted exactly once.
+// A ctx cancelled between the two phases returns the bare ctx.Err() before
+// any refinement runs; a non-nil emit return aborts and surfaces verbatim.
+func Mixed[R any](ctx context.Context, shapes []gemm.Shape, topK int, quantum float64,
+	run func(ctx context.Context, f core.Fidelity, idx []int, emit func(i int, r R) error) error,
+	latency func(R) sim.Time, emit func(i int, r R) error) ([]int, error) {
+	all := make([]int, len(shapes))
+	for i := range all {
+		all[i] = i
+	}
+	analytic := make([]R, len(shapes))
+	err := run(ctx, core.FidelityAnalytic, all, func(i int, r R) error {
+		analytic[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	latencies := make([]sim.Time, len(shapes))
+	for i, r := range analytic {
+		latencies[i] = latency(r)
+	}
+	refined := RankTopK(shapes, latencies, topK, quantum)
+	next := 0
+	for i, r := range analytic {
+		if next < len(refined) && refined[next] == i {
+			next++
+			continue
+		}
+		if err := emit(i, r); err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := run(ctx, core.FidelityDES, refined, emit); err != nil {
+		return nil, err
+	}
+	return refined, nil
+}
+
+// MixedBatch is the mixed-fidelity sweep (see Mixed) over one engine:
+// results[i] answers runs[i] with a fidelity label saying which tier
 // produced it; refined lists the indices that got DES confirmation,
 // ascending. The DES tier is byte-identical to a full-DES Batch restricted
 // to the same indices — refinement changes which items pay for simulation,
@@ -83,44 +138,43 @@ func RankTopK(shapes []gemm.Shape, latencies []sim.Time, k int, quantum float64)
 // ctx cancellation stops whichever tier is running between items (see
 // Batch) and returns the bare ctx.Err().
 func (e *Engine) MixedBatch(ctx context.Context, runs []core.Options, topK int, quantum float64) (results []*core.Result, refined []int, err error) {
+	shapes := make([]gemm.Shape, len(runs))
 	for i, o := range runs {
 		if o.Fidelity != "" {
 			return nil, nil, &RunError{Index: i, Err: fmt.Errorf("engine: mixed batch run carries fidelity %q; the mixed policy assigns fidelities itself", o.Fidelity)}
 		}
+		shapes[i] = o.Shape
 	}
-	analytic := make([]core.Options, len(runs))
-	for i, o := range runs {
-		o.Fidelity = core.FidelityAnalytic
-		analytic[i] = o
-	}
-	results, err = e.Batch(ctx, analytic)
-	if err != nil {
-		return nil, nil, err
-	}
-	shapes := make([]gemm.Shape, len(runs))
-	latencies := make([]sim.Time, len(runs))
-	for i, r := range results {
-		shapes[i] = runs[i].Shape
-		latencies[i] = r.Latency
-	}
-	refined = RankTopK(shapes, latencies, topK, quantum)
-	des := make([]core.Options, len(refined))
-	for j, gi := range refined {
-		o := runs[gi]
-		o.Fidelity = core.FidelityDES
-		des[j] = o
-	}
-	desResults, err := e.Batch(ctx, des)
-	if err != nil {
-		// Translate the refine-batch index back to the caller's grid.
-		var re *RunError
-		if errors.As(err, &re) && re.Index >= 0 && re.Index < len(refined) {
-			err = &RunError{Index: refined[re.Index], Err: re.Err}
+	results = make([]*core.Result, len(runs))
+	run := func(ctx context.Context, f core.Fidelity, idx []int, emit func(int, *core.Result) error) error {
+		sub := make([]core.Options, len(idx))
+		for j, gi := range idx {
+			sub[j] = runs[gi]
+			sub[j].Fidelity = f
 		}
-		return nil, nil, err
+		res, err := e.Batch(ctx, sub)
+		if err != nil {
+			// Translate the sub-batch index back to the caller's grid.
+			var re *RunError
+			if errors.As(err, &re) && re.Index >= 0 && re.Index < len(idx) {
+				err = &RunError{Index: idx[re.Index], Err: re.Err}
+			}
+			return err
+		}
+		for j, gi := range idx {
+			if err := emit(gi, res[j]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	for j, gi := range refined {
-		results[gi] = desResults[j]
+	latency := func(r *core.Result) sim.Time { return r.Latency }
+	refined, err = Mixed(ctx, shapes, topK, quantum, run, latency, func(i int, r *core.Result) error {
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, refined, nil
 }

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/gemm"
 	"repro/internal/hw"
 )
 
@@ -123,6 +126,86 @@ func TestHandlerSweepMixed(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("mixed sweep diverges from the in-process SweepChunk after the HTTP round-trip")
 	}
+}
+
+// A replica's own mixed /sweep is the engine's mixed policy over the wire:
+// over both protocol versions, the results are byte-identical to
+// engine.MixedBatch on the same grid, and the DES-labeled items are exactly
+// its refined set.
+func TestHandlerSweepMixedMatchesMixedBatch(t *testing.T) {
+	s := testService(t)
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	var items []SweepItem
+	var runs []core.Options
+	for _, m := range []int{1024, 2048, 4096, 8192} {
+		for _, k := range []int{4096, 8192} {
+			for _, p := range []hw.Primitive{hw.AllReduce, hw.AllToAll} {
+				imb := 0.0
+				if p == hw.AllToAll {
+					imb = 1.2
+				}
+				items = append(items, SweepItem{M: m, N: 8192, K: k, Prim: p.Short(), Imbalance: imb})
+				runs = append(runs, core.Options{Plat: s.cfg.Plat, NGPUs: s.cfg.NGPUs, Shape: gemm.Shape{M: m, N: 8192, K: k}, Prim: p, Imbalance: imb})
+			}
+		}
+	}
+	ref, refined, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refined) == 0 || len(refined) == len(runs) {
+		t.Fatalf("%d of %d runs refined; the grid must exercise both tiers", len(refined), len(runs))
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(proto string, results []SweepResult) {
+		t.Helper()
+		got := make([]*core.Result, len(results))
+		var des []int
+		for i, res := range results {
+			got[i] = res.Result
+			if res.Fidelity == FidelityDES {
+				des = append(des, i)
+			}
+		}
+		if !slices.Equal(des, refined) {
+			t.Fatalf("%s: DES-labeled items %v, want MixedBatch's refined %v", proto, des, refined)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, want) {
+			t.Fatalf("%s: mixed /sweep diverges from engine.MixedBatch", proto)
+		}
+	}
+	req := SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items}
+
+	resp := postSweep(t, srv.URL, req)
+	var sr SweepResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("v1: status %d, decode error %v", resp.StatusCode, err)
+	}
+	check("v1", sr.Results)
+
+	frames := decodeFrames(t, postSweepAccept(t, srv.URL, ContentTypeNDJSON, req))
+	if len(frames) != len(items)+1 || frames[len(items)].Frame != FrameDone {
+		t.Fatalf("v2: %d frames for %d items, want one per item plus done", len(frames), len(items))
+	}
+	streamed := make([]SweepResult, len(items))
+	for i, fr := range frames[:len(items)] {
+		if fr.Frame != FrameResult || fr.Index != i {
+			t.Fatalf("v2: frame %d is %q for index %d; a mixed chunk releases in ascending order", i, fr.Frame, fr.Index)
+		}
+		streamed[i] = *fr.Result
+	}
+	check("v2", streamed)
 }
 
 // Fidelity misuse is a deterministic rejection (4xx): unknown labels, the

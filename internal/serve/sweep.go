@@ -196,11 +196,10 @@ type SweepSink func(index int, res SweepResult) error
 // exactly the completed prefix [0, Index) has been emitted — the emitted
 // results are the partial-chunk salvage — and the failing item's
 // chunk-local index is reported as a *ChunkError. A request-level "mixed"
-// fidelity runs the whole posted grid analytically, ranks per
-// engine.RankTopK cell, re-runs the top TopK per cell at DES fidelity, and
-// splices; the tiers interleave, so a mixed chunk emits only once every
-// result is final (still in ascending index order) and a failed mixed chunk
-// emits nothing.
+// fidelity runs engine.Mixed's policy over the posted grid (analytic pass,
+// per-cell ranking, DES confirmation of the top TopK per cell); the tiers
+// interleave, so a mixed chunk emits only once every result is final (still
+// in ascending index order) and a failed mixed chunk emits nothing.
 //
 // Each item executes at its resolved fidelity (item label, else the
 // request default): DES through a private deterministic simulator, analytic
@@ -319,64 +318,42 @@ func (s *Service) sweepChunkFlat(ctx context.Context, req SweepRequest, sink Swe
 	return nil
 }
 
-// collectFlat buffers a flat sub-chunk — the mixed orchestration needs the
-// whole analytic tier in hand before it can rank.
-func (s *Service) collectFlat(ctx context.Context, req SweepRequest) ([]SweepResult, error) {
-	out := make([]SweepResult, 0, len(req.Items))
-	err := s.sweepChunkFlat(ctx, req, func(_ int, res SweepResult) error {
-		out = append(out, res)
-		return nil
-	})
-	return out, err
-}
-
 // sweepChunkMixed runs the request's grid at mixed fidelity within this
-// replica: analytic pass, per-cell ranking, DES confirmation of the top-k,
-// splice. The coordinator never sends this (it orchestrates the tiers
-// itself, stamping items); it serves direct /sweep clients, so a single
-// replica and a router proxy answer the same wire request the same way.
-// Ranking is global over the posted grid, so the mixed path inherently
-// buffers O(grid) before emitting — the streaming bound applies to the
-// flat tiers a coordinator dispatches.
+// replica: engine.Mixed's policy with each phase executed by
+// sweepChunkFlat. The coordinator never sends this (it orchestrates the
+// tiers itself, stamping items); it serves direct /sweep clients, so a
+// single replica and a router proxy answer the same wire request the same
+// way. The tiers interleave, so results are buffered and released in
+// ascending order only once all are final: a failed mixed chunk emits
+// nothing, because an analytic prefix is not a final prefix of the answer.
 func (s *Service) sweepChunkMixed(ctx context.Context, req SweepRequest, sink SweepSink) error {
+	shapes := make([]gemm.Shape, len(req.Items))
 	for i, it := range req.Items {
 		if it.Fidelity != "" {
 			return &ChunkError{Index: i, Err: badQueryf("serve: mixed sweep item carries fidelity %q; the mixed policy assigns fidelities itself", it.Fidelity)}
 		}
+		shapes[i] = it.Shape()
 	}
-	analytic := req
-	analytic.Fidelity = FidelityAnalytic
-	// A failure drops the partial prefix: the mixed reply interleaves
-	// tiers, so an analytic prefix is not a final prefix of the answer.
-	out, err := s.collectFlat(ctx, analytic)
-	if err != nil {
-		return err
-	}
-	shapes := make([]gemm.Shape, len(out))
-	latencies := make([]sim.Time, len(out))
-	for i, r := range out {
-		shapes[i] = req.Items[i].Shape()
-		latencies[i] = r.Result.Latency
-	}
-	quantum := req.RankQuantum
-	if quantum <= 0 {
-		quantum = engine.DefaultRankQuantum
-	}
-	refined := engine.RankTopK(shapes, latencies, req.TopK, quantum)
-	des := SweepRequest{SweepSpec: SweepSpec{Tune: req.Tune, Fidelity: FidelityDES, Tenant: req.Tenant}, Items: make([]SweepItem, len(refined))}
-	for j, gi := range refined {
-		des.Items[j] = req.Items[gi]
-	}
-	desOut, err := s.collectFlat(ctx, des)
-	if err != nil {
+	run := func(ctx context.Context, f core.Fidelity, idx []int, emit func(int, SweepResult) error) error {
+		sub := SweepRequest{SweepSpec: SweepSpec{Tune: req.Tune, Fidelity: string(f), Tenant: req.Tenant}, Items: make([]SweepItem, len(idx))}
+		for j, gi := range idx {
+			sub.Items[j] = req.Items[gi]
+		}
+		err := s.sweepChunkFlat(ctx, sub, func(j int, res SweepResult) error { return emit(idx[j], res) })
 		var ce *ChunkError
-		if errors.As(err, &ce) && ce.Index >= 0 && ce.Index < len(refined) {
-			err = &ChunkError{Index: refined[ce.Index], Err: ce.Err}
+		if errors.As(err, &ce) && ce.Index >= 0 && ce.Index < len(idx) {
+			err = &ChunkError{Index: idx[ce.Index], Err: ce.Err}
 		}
 		return err
 	}
-	for j, gi := range refined {
-		out[gi] = desOut[j]
+	latency := func(r SweepResult) sim.Time { return r.Result.Latency }
+	out := make([]SweepResult, len(req.Items))
+	_, err := engine.Mixed(ctx, shapes, req.TopK, req.RankQuantum, run, latency, func(i int, res SweepResult) error {
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for i, res := range out {
 		if err := sink(i, res); err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gemm"
 	"repro/internal/serve"
@@ -30,9 +31,9 @@ const DefaultChunkSize = 8
 // silently resetting to a default at the first proxy.
 type SweepSpec = serve.SweepSpec
 
-// Coordinator drives a grid sweep across a replica fleet — the multi-host
-// analogue of SweepBatch, where the "engines" are remote cmd/serve
-// processes reached over the Client interface. It partitions the grid by
+// Coordinator drives a grid sweep across a replica fleet — the repo's one
+// sharded sweep path, over remote cmd/serve processes (HTTPClient) or
+// in-process services (LocalClient) alike. It partitions the grid by
 // shape ownership (each replica sweeps the slice of the (log M·N, log K)
 // plane its caches are warm for), splits every shard's sub-grid into
 // fixed-size chunks, dispatches them over /sweep, and streams per-shard
@@ -154,7 +155,7 @@ func (c *Coordinator) request(items []serve.SweepItem) serve.SweepRequest {
 
 // Sweep tunes/executes the whole grid across the fleet and merges the
 // per-shard results back into input order: results[i] answers items[i], the
-// same deterministic global order SweepBatch and engine.Batch return — the
+// same deterministic global order engine.Batch returns — the
 // buffered form of Stream, for callers that want the materialized grid.
 func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]SweepResult, error) {
 	out := make([]SweepResult, len(items))
@@ -178,13 +179,12 @@ func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]Swe
 //
 // The Spec.Fidelity knob selects what executes: a flat sweep (every item at
 // one backend fidelity, or each item's own label when Fidelity is "")
-// dispatches the grid once; a mixed sweep dispatches twice — the whole grid
-// analytic, then the engine.RankTopK winners at DES — with both phases
-// enjoying the same churn tolerance, partial-chunk salvage, and
-// deterministic attribution. Mixed ranking is global, so the analytic tier
-// is buffered O(grid) inside the coordinator before any emission (inherent
-// to the policy); analytic keepers emit as soon as ranking resolves and DES
-// refinements stream as they complete.
+// dispatches the grid once; a mixed sweep runs engine.Mixed's policy and
+// dispatches twice — the whole grid analytic, then the ranking's winners at
+// DES. Mixed ranking is global, so the analytic tier is buffered O(grid)
+// inside the coordinator before any emission (inherent to the policy);
+// analytic keepers emit as soon as ranking resolves and DES refinements
+// stream as they complete.
 //
 // Cancelling ctx tears the whole sweep down: every in-flight shard chunk's
 // HTTP request is aborted (replicas observe the closed request body and
@@ -225,8 +225,14 @@ func (c *Coordinator) Stream(ctx context.Context, items []serve.SweepItem, sink 
 	default:
 		return &QueryError{Err: fmt.Errorf("shard: unknown sweep fidelity %q (want %q, %q, or %q)", c.Spec.Fidelity, serve.FidelityDES, serve.FidelityAnalytic, serve.FidelityMixed)}
 	}
-	if err != nil {
+	var fe *fanError
+	if errors.As(err, &fe) {
 		return fmt.Errorf("shard: sweep item %w", err)
+	}
+	if err != nil {
+		// Unattributed: a sink failure on a mixed keeper, or a ctx
+		// cancelled between the mixed phases.
+		return fmt.Errorf("shard: sweep: %w", err)
 	}
 	return nil
 }
@@ -245,67 +251,38 @@ func stampItems(items []serve.SweepItem, f string) []serve.SweepItem {
 	return out
 }
 
-// sweepMixed is the fleet-wide mixed-fidelity orchestration: the whole grid
-// analytically (cheap — no event simulation), rank per quantized shape cell
-// over the merged latencies, then confirm only the top TopK per cell on the
-// simulator. Both phases stamp per-item fidelities, so replicas (and router
-// proxies acting as replicas) execute exactly what the coordinator ranked —
-// no replica re-ranks its local sub-grid. Analytic results that survive the
-// ranking unrefined emit as soon as the ranking resolves; DES refinements
-// emit as their chunks complete, overwriting nothing (each index emits
-// exactly once).
+// sweepMixed runs the fleet-wide mixed-fidelity sweep: engine.Mixed's
+// policy with each phase dispatched across the fleet by sweepGrid. Both
+// phases stamp per-item fidelities, so replicas (and router proxies acting
+// as replicas) execute exactly what the coordinator ranked — no replica
+// re-ranks its local sub-grid — and both enjoy the same churn tolerance,
+// partial-chunk salvage, and deterministic attribution.
 func (c *Coordinator) sweepMixed(ctx context.Context, items []serve.SweepItem, sink StreamSink) error {
+	shapes := make([]gemm.Shape, len(items))
 	for i, it := range items {
 		if it.Fidelity != "" {
 			return &fanError{At: i, Err: &QueryError{Err: fmt.Errorf("shard: mixed sweep item carries fidelity %q; the mixed policy assigns fidelities itself", it.Fidelity)}}
 		}
+		shapes[i] = it.Shape()
 	}
-	// The analytic tier buffers: ranking is global over the grid, so the
-	// mixed policy's coordinator footprint is inherently O(grid) — the
-	// O(chunk) streaming bound applies to the flat tiers it dispatches.
-	out := make([]SweepResult, len(items))
-	err := c.sweepGrid(ctx, stampItems(items, serve.FidelityAnalytic), func(i int, res SweepResult) error {
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	shapes := make([]gemm.Shape, len(items))
-	latencies := make([]sim.Time, len(items))
-	for i, r := range out {
-		shapes[i] = items[i].Shape()
-		latencies[i] = r.Result.Latency
-	}
-	refined := engine.RankTopK(shapes, latencies, c.Spec.TopK, c.Spec.RankQuantum)
-	inRefined := make([]bool, len(items))
-	for _, gi := range refined {
-		inRefined[gi] = true
-	}
-	for i := range out {
-		if !inRefined[i] {
-			if err := sink(i, out[i]); err != nil {
-				return &fanError{At: i, Err: err}
-			}
+	run := func(ctx context.Context, f core.Fidelity, idx []int, emit func(int, SweepResult) error) error {
+		sub := make([]serve.SweepItem, len(idx))
+		for j, gi := range idx {
+			sub[j] = items[gi]
+			sub[j].Fidelity = string(f)
 		}
-	}
-	des := make([]serve.SweepItem, len(refined))
-	for j, gi := range refined {
-		des[j] = items[gi]
-	}
-	err = c.sweepGrid(ctx, stampItems(des, serve.FidelityDES), func(j int, res SweepResult) error {
-		return sink(refined[j], res)
-	})
-	if err != nil {
-		// The refine phase named an index into its sub-grid; translate it
-		// back to the caller's grid.
+		err := c.sweepGrid(ctx, sub, func(j int, res SweepResult) error { return emit(idx[j], res) })
+		// sweepGrid named an index into its sub-grid; translate it back to
+		// the caller's grid.
 		var fe *fanError
-		if errors.As(err, &fe) && fe.At >= 0 && fe.At < len(refined) {
-			err = &fanError{At: refined[fe.At], Err: fe.Err}
+		if errors.As(err, &fe) && fe.At >= 0 && fe.At < len(idx) {
+			err = &fanError{At: idx[fe.At], Err: fe.Err}
 		}
 		return err
 	}
-	return nil
+	latency := func(r SweepResult) sim.Time { return r.Result.Latency }
+	_, err := engine.Mixed(ctx, shapes, c.Spec.TopK, c.Spec.RankQuantum, run, latency, sink)
+	return err
 }
 
 // sweepGrid dispatches one already-stamped grid across the fleet — the
@@ -387,6 +364,49 @@ func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, si
 		}
 		return 0, nil
 	})
+}
+
+// fanError is fanShards' failure: the winning (lowest) global index plus
+// the cause, structured so callers that must forward the index over a
+// protocol (the router's /sweep proxy) do not have to re-parse their own
+// error strings.
+type fanError struct {
+	At  int
+	Err error
+}
+
+func (e *fanError) Error() string { return fmt.Sprintf("%d: %v", e.At, e.Err) }
+func (e *fanError) Unwrap() error { return e.Err }
+
+// fanShards runs worker(k, idxs[k]) concurrently for every non-empty shard.
+// A failing worker returns the global index its failure maps to; fanShards
+// reports the failure with the lowest global index — deterministic no matter
+// which shards finish first — as a *fanError rendering "<index>: <cause>".
+func fanShards(idxs [][]int, worker func(k int, list []int) (int, error)) error {
+	shardErrs := make([]error, len(idxs)) // per-shard failure
+	shardErrAt := make([]int, len(idxs))  // global index of that failure
+	var wg sync.WaitGroup
+	for k := range idxs {
+		if len(idxs[k]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			shardErrAt[k], shardErrs[k] = worker(k, idxs[k])
+		}(k)
+	}
+	wg.Wait()
+	first := -1
+	for k, err := range shardErrs {
+		if err != nil && (first == -1 || shardErrAt[k] < shardErrAt[first]) {
+			first = k
+		}
+	}
+	if first >= 0 {
+		return &fanError{At: shardErrAt[first], Err: shardErrs[first]}
+	}
+	return nil
 }
 
 // translateChunkError maps a failing index relative to the dispatched

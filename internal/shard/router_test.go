@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -275,9 +276,7 @@ func TestRouterFailsOverOnInternalServerError(t *testing.T) {
 	owner := NewPartitioner(2).Owner(shape)
 
 	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error": "serve: tuning AllReduce: injected engine failure"}`))
+		serve.WriteError(w, http.StatusInternalServerError, errors.New("serve: tuning AllReduce: injected engine failure"))
 	}))
 	defer broken.Close()
 	healthy, err := serve.New(serve.Config{

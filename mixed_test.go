@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +17,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/gemm"
 	"repro/internal/hw"
-	"repro/internal/shard"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -111,10 +113,12 @@ func quickMixedGrid() []core.Options {
 	return runs
 }
 
-// Sharded mixed sweeps must be invisible: SweepBatchMixed at any shard count
-// returns byte-identical results and the identical refined set as the
-// unsharded MixedBatch, and every result carries its tier's fidelity label.
-func TestSweepBatchMixedMatchesMixedBatchByteForByte(t *testing.T) {
+// Sharded mixed sweeps must be invisible: a Coordinator over any number of
+// in-process replicas sweeping the three-primitive grid (imbalance
+// included) at mixed fidelity returns byte-identical results and the
+// identical refined set as the unsharded MixedBatch, and every result
+// carries its tier's fidelity label.
+func TestCoordinatorMixedSweepMatchesMixedBatchAcrossPrimitives(t *testing.T) {
 	runs := quickMixedGrid()
 	refRes, refRefined, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0)
 	if err != nil {
@@ -137,19 +141,24 @@ func TestSweepBatchMixedMatchesMixedBatchByteForByte(t *testing.T) {
 		}
 	}
 	refJSON := marshalResults(t, refRes)
+	items := sweepItems(runs)
 	for shards := 1; shards <= 4; shards++ {
-		part := shard.NewPartitioner(shards)
-		res, refined, err := shard.SweepBatchMixed(context.Background(), part, shard.Engines(shards, 0, 0), runs, 0, 0)
+		co := localCoordinator(t, hw.RTX4090PCIe(), 2, shards, hw.AllReduce, hw.ReduceScatter, hw.AllToAll)
+		co.Spec.Fidelity = serve.FidelityMixed
+		swept, err := co.Sweep(context.Background(), items)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if len(refined) != len(refRefined) {
-			t.Fatalf("shards=%d: refined %v, want %v", shards, refined, refRefined)
-		}
-		for j := range refined {
-			if refined[j] != refRefined[j] {
-				t.Fatalf("shards=%d: refined %v, want %v", shards, refined, refRefined)
+		res := make([]*core.Result, len(swept))
+		var refined []int
+		for i, r := range swept {
+			res[i] = r.Result
+			if r.Fidelity == serve.FidelityDES {
+				refined = append(refined, i)
 			}
+		}
+		if !slices.Equal(refined, refRefined) {
+			t.Fatalf("shards=%d: refined %v, want %v", shards, refined, refRefined)
 		}
 		if !bytes.Equal(marshalResults(t, res), refJSON) {
 			t.Fatalf("shards=%d: sharded mixed sweep diverges from unsharded MixedBatch", shards)
@@ -182,14 +191,16 @@ func TestMixedRefineTierMatchesFullDESByteForByte(t *testing.T) {
 }
 
 // A pre-stamped fidelity under a mixed batch is a contradiction and must be
-// rejected with the run's index, at both the engine and shard layers.
+// rejected with the run's index, at both the engine and coordinator layers.
 func TestMixedBatchRejectsPreStampedFidelity(t *testing.T) {
 	runs := quickMixedGrid()
 	runs[3].Fidelity = core.FidelityDES
 	if _, _, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0); err == nil {
 		t.Fatal("engine.MixedBatch accepted a pre-stamped run")
 	}
-	if _, _, err := shard.SweepBatchMixed(context.Background(), shard.NewPartitioner(2), shard.Engines(2, 0, 0), runs, 0, 0); err == nil {
-		t.Fatal("shard.SweepBatchMixed accepted a pre-stamped run")
+	co := localCoordinator(t, hw.RTX4090PCIe(), 2, 2)
+	co.Spec.Fidelity = serve.FidelityMixed
+	if _, err := co.Sweep(context.Background(), sweepItems(runs)); err == nil || !strings.Contains(err.Error(), "sweep item 3:") {
+		t.Fatalf("mixed coordinator sweep over a pre-stamped item: err %v, want a rejection naming sweep item 3", err)
 	}
 }
