@@ -82,6 +82,12 @@ func DefaultConfig(s Shape) Config {
 }
 
 // Plan is a fully resolved tile schedule for one GEMM.
+//
+// Its JSON form carries Shape, Cfg and the tile grid but not the launch
+// permutation: Order and Pos are derived from (Shape, Cfg), and
+// NewPlan(p.Shape, p.Cfg) rebuilds them exactly. They hold two ints per
+// tile, so serializing them would make every encoded result grow with the
+// tile count for no information.
 type Plan struct {
 	Shape Shape
 	Cfg   Config
@@ -90,9 +96,9 @@ type Plan struct {
 	// Order maps execution position -> row-major tile index: Order[p] is
 	// the p-th tile to be dispatched. With swizzling this is not the
 	// identity, which is exactly why the paper needs reordering (§3.3).
-	Order []int
+	Order []int `json:"-"`
 	// Pos is the inverse: Pos[tileIdx] = execution position.
-	Pos []int
+	Pos []int `json:"-"`
 }
 
 // NewPlan validates the config against the shape and computes the launch

@@ -211,13 +211,9 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 			WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: /sweep takes POST, got %s", r.Method))
 			return
 		}
-		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding sweep request: %w", err))
-			return
-		}
-		if len(req.Items) == 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: sweep request has no items"))
+		req, status, err := DecodeSweepRequest(w, r)
+		if err != nil {
+			WriteError(w, status, fmt.Errorf("serve: %w", err))
 			return
 		}
 		ctx, cancel := reqCtx(r)
@@ -296,6 +292,35 @@ func streamSweep(ctx context.Context, w http.ResponseWriter, s *Service, req Swe
 		return
 	}
 	_ = enc.Encode(SweepFrame{Frame: FrameDone, Count: count})
+}
+
+// MaxSweepBodyBytes bounds a POST /sweep request body, at a replica and at
+// the router alike. An item encodes to under 100 bytes, so 1 MiB admits
+// grids of over ten thousand items: far more than the repo's own callers
+// send (cmd/sweep posts chunks of shard.DefaultChunkSize items; perfbench
+// posts its whole 240-item grid, about 15 KB), while no single request can
+// make a server buffer an unbounded body.
+const MaxSweepBodyBytes = 1 << 20
+
+// DecodeSweepRequest reads a POST /sweep body of at most MaxSweepBodyBytes
+// and returns, with any error, the status that classifies it: 413 for a
+// body over the bound, 400 for one that is not a sweep request or carries
+// no items. Both are deterministic rejections, so no router fails them
+// over. Exported so the shard router's /sweep bounds and rejects bodies
+// exactly like a replica's.
+func DecodeSweepRequest(w http.ResponseWriter, r *http.Request) (SweepRequest, int, error) {
+	var req SweepRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSweepBodyBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("sweep request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return req, http.StatusBadRequest, fmt.Errorf("decoding sweep request: %w", err)
+	case len(req.Items) == 0:
+		return req, http.StatusBadRequest, errors.New("sweep request has no items")
+	}
+	return req, http.StatusOK, nil
 }
 
 // errStatus maps a Service error to its HTTP status: deterministic request

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -308,6 +309,47 @@ func TestHandlerSweepErrors(t *testing.T) {
 	}
 	if !env.Error.Retryable {
 		t.Fatal("internal item failure not marked retryable")
+	}
+}
+
+// POST /sweep bodies are bounded by MaxSweepBodyBytes: a body of exactly
+// the bound is served, one byte more is a deterministic 413 in the error
+// envelope, marked non-retryable so no router fails it over.
+func TestHandlerSweepRejectsOversizeBody(t *testing.T) {
+	s := testService(t)
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	req, err := json.Marshal(SweepRequest{Items: []SweepItem{{M: 2048, N: 8192, K: 4096, Prim: "AR"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) io.Reader {
+		return io.MultiReader(strings.NewReader(strings.Repeat(" ", size-len(req))), bytes.NewReader(req))
+	}
+	resp, err := http.Post(srv.URL+"/sweep", "application/json", padded(MaxSweepBodyBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body of exactly MaxSweepBodyBytes: status = %d, want 200", resp.StatusCode)
+	}
+
+	resp, err = http.Post(srv.URL+"/sweep", "application/json", padded(MaxSweepBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status = %d, want 413", resp.StatusCode)
+	}
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Retryable || !strings.Contains(env.Error.Message, "exceeds") {
+		t.Fatalf("oversize body envelope = %+v, want a non-retryable size rejection", env.Error)
 	}
 }
 

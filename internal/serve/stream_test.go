@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/gemm"
 )
 
 // postSweepAccept posts a sweep request with an explicit Accept header.
@@ -109,6 +113,66 @@ func TestHandlerSweepStreamsV2Frames(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("streamed results diverge from the buffered CollectSweep reply")
+	}
+
+	// The wire plan omits the launch permutation, and loses nothing by it:
+	// gemm.NewPlan rebuilds, from the decoded shape and config, exactly the
+	// plan the engine executed.
+	for i, res := range results {
+		if res.Result.Plan.Order != nil || res.Result.Plan.Pos != nil {
+			t.Fatalf("item %d: decoded plan carries a launch permutation", i)
+		}
+		rebuilt, err := gemm.NewPlan(res.Result.Plan.Shape, res.Result.Plan.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rebuilt, ref[i].Result.Plan) {
+			t.Fatalf("item %d: plan rebuilt from the wire differs from the executed plan", i)
+		}
+	}
+}
+
+// A result frame carries its plan's shape, config and tile grid but not the
+// launch permutation, so the frame does not grow with the tile count: the
+// large shape has 112 times the small one's tiles, yet its frame stays
+// within a small constant of the small one's. The sweep is tuned, so both
+// partitions have a handful of groups; an untuned run reports one
+// GroupTiming per wave, which is result content that does grow with shape.
+func TestHandlerSweepFrameSizeIndependentOfTileCount(t *testing.T) {
+	s := testService(t)
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	items := []SweepItem{
+		{M: 1024, N: 4096, K: 2048, Prim: "AR"},
+		{M: 16384, N: 28672, K: 14336, Prim: "AR"},
+	}
+	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	sizes := make([]int, len(items))
+	for i := range items {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("reading frame %d: %v", i, err)
+		}
+		for _, key := range []string{`"Order"`, `"Pos"`} {
+			if bytes.Contains(line, []byte(key)) {
+				t.Fatalf("frame %d carries %s", i, key)
+			}
+		}
+		var fr SweepFrame
+		if err := json.Unmarshal(line, &fr); err != nil || fr.Frame != FrameResult || fr.Index != i {
+			t.Fatalf("frame %d = %+v (%v), want result frame %d", i, fr, err, i)
+		}
+		sizes[i] = len(line)
+	}
+	const slack = 4 << 10
+	if sizes[1] > sizes[0]+slack {
+		t.Fatalf("large-shape frame is %d bytes, small-shape frame %d: want within %d bytes", sizes[1], sizes[0], slack)
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -728,5 +730,37 @@ func TestRouterHandlerProxiesSweep(t *testing.T) {
 		t.Fatal("bad item accepted through the router proxy")
 	} else if want := fmt.Sprintf("sweep item %d:", bad); !strings.Contains(err.Error(), want) {
 		t.Fatalf("proxied error %q does not name %q", err, want)
+	}
+}
+
+// The router bounds POST /sweep bodies like a replica does: an oversize
+// body is a 413 in the error envelope, answered before any replica is
+// contacted, and an outer HTTPClient reads it as a non-retryable
+// QueryError, so a ring driving this router never fails it over.
+func TestRouterHandlerRejectsOversizeSweep(t *testing.T) {
+	var hits atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		serve.WriteError(w, http.StatusInternalServerError, fmt.Errorf("replica reached"))
+	}))
+	defer replica.Close()
+	r, err := NewRouter([]Client{&HTTPClient{Base: replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	oversize := serve.SweepRequest{Items: []serve.SweepItem{{M: 2048, N: 8192, K: 4096, Prim: strings.Repeat("A", serve.MaxSweepBodyBytes)}}}
+	err = (&HTTPClient{Base: front.URL}).Sweep(context.Background(), oversize, func(int, serve.SweepResult) error { return nil })
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize sweep through the router: err = %v, want a QueryError with status 413", err)
+	}
+	if !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversize sweep error %q does not name the bound", err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("router contacted its replica %d times for an oversize body", n)
 	}
 }

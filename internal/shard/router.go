@@ -820,13 +820,9 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 			serve.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("shard: /sweep takes POST, got %s", req.Method))
 			return
 		}
-		var sr serve.SweepRequest
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("shard: decoding sweep request: %w", err))
-			return
-		}
-		if len(sr.Items) == 0 {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("shard: sweep request has no items"))
+		sr, status, err := serve.DecodeSweepRequest(w, req)
+		if err != nil {
+			serve.WriteError(w, status, fmt.Errorf("shard: %w", err))
 			return
 		}
 		// Honor the caller's forwarded spec: a sweep driver pointed at
