@@ -717,7 +717,7 @@ func BenchmarkCoordinatorSweep(b *testing.B) {
 	b.ReportMetric(shards, "shards")
 }
 
-// Streaming sweep cost: the v2 iterator path (Coordinator.Stream emitting
+// Streaming sweep cost: the iterator path (Coordinator.Stream emitting
 // each item as its chunk completes) over an in-process fleet at the analytic
 // fast path, where per-item work is small enough that the streaming
 // machinery's own cost shows. stream-sweep-ns/item is the latency headline;

@@ -24,7 +24,7 @@ type headline struct {
 
 // headlines are the metrics the ROADMAP's perf trajectory is judged on: the
 // engine's plan-cache speedup, the serving layer's warm-query latency, the
-// sweep plane's analytic and mixed-fidelity per-item costs, and the v2
+// sweep plane's analytic and mixed-fidelity per-item costs, and the
 // streaming sweep's per-item latency and allocation. All are ratios,
 // min-of-batches latencies, or deterministic allocation counts, stable at
 // -benchtime 1x.

@@ -19,11 +19,9 @@
 // re-admission hands exactly those cells back. /stats reports the eviction
 // and hand-back counters plus each replica's evicted flag.
 //
-// /sweep speaks both protocol generations: a plain POST answers with the
-// buffered v1 JSON body, while a client sending Accept: application/x-ndjson
-// (or "stream": true in the request) gets the v2 NDJSON frame stream —
-// result frames as the fleet's chunks complete, then a terminal done or
-// error frame — so whole-grid sweeps proxy without buffering the grid.
+// /sweep replies with the NDJSON frame stream — result frames as the
+// fleet's chunks complete, then a terminal done or error frame — so
+// whole-grid sweeps proxy without buffering the grid.
 //
 // Example (two replicas on one host):
 //

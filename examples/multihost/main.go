@@ -224,6 +224,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	failoversBefore := router.Stats(ctx).Failovers
 	resp, err := http.Post("http://"+front.Addr().String()+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		log.Fatal(err)
@@ -233,23 +234,17 @@ func main() {
 		_ = json.NewDecoder(resp.Body).Decode(&env)
 		log.Fatalf("router /sweep replied %s: %s", resp.Status, env.Error.Message)
 	}
-	var rs shard.RoutedSweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		log.Fatal(err)
-	}
+	routed := readSweepStream(resp.Body, 2)
 	resp.Body.Close()
-	if len(rs.Results) != 2 {
-		log.Fatalf("router /sweep answered %d of 2 items", len(rs.Results))
-	}
 	fmt.Printf("\ntuned sweep through the router's /sweep proxy (replica %d re-admitted):\n", victim)
-	for _, res := range rs.Results {
+	for _, res := range routed {
 		fmt.Printf("  %-18s partition %v  predicted %d ns  source %-5s  shard %d -> replica %d\n",
 			res.Shape, res.Partition, res.PredictedNs, res.Source, res.Owner, res.Replica)
 		if res.Owner == victim && res.Replica != victim {
 			log.Fatalf("re-admitted replica %d did not reclaim its owned item", victim)
 		}
 	}
-	fmt.Printf("router re-dispatches during the proxied sweep: %d\n", rs.Redispatches)
+	fmt.Printf("router failovers during the proxied sweep: %d\n", router.Stats(ctx).Failovers-failoversBefore)
 
 	// Final act: warm-state persistence — the cmd/serve -snapshot story.
 	// The re-admitted victim (which tuned its shard slice during the sweeps
@@ -306,6 +301,46 @@ func main() {
 	_ = frontSrv.Close()
 	for _, srv := range servers {
 		_ = srv.Close()
+	}
+}
+
+// readSweepStream decodes a router /sweep reply: NDJSON frames, one result
+// frame per item as the fleet completes it (in completion order, so each
+// is placed by its index), then a terminal done or error frame. Result
+// frames carry the router's owner/replica attribution.
+func readSweepStream(body io.Reader, nItems int) []shard.SweepResult {
+	results := make([]shard.SweepResult, nItems)
+	dec := json.NewDecoder(body)
+	for {
+		var fr struct {
+			Frame  string             `json:"frame"`
+			Index  int                `json:"index"`
+			Result *shard.SweepResult `json:"result"`
+			Count  int                `json:"count"`
+			Error  *serve.ErrorBody   `json:"error"`
+		}
+		if err := dec.Decode(&fr); err != nil {
+			log.Fatalf("router /sweep stream ended before its terminal frame: %v", err)
+		}
+		switch fr.Frame {
+		case serve.FrameResult:
+			if fr.Result == nil || fr.Index < 0 || fr.Index >= nItems {
+				log.Fatalf("router /sweep sent a malformed result frame for index %d", fr.Index)
+			}
+			results[fr.Index] = *fr.Result
+		case serve.FrameDone:
+			if fr.Count != nItems {
+				log.Fatalf("router /sweep answered %d of %d items", fr.Count, nItems)
+			}
+			return results
+		case serve.FrameError:
+			if fr.Error == nil {
+				log.Fatal("router /sweep failed without an error body")
+			}
+			log.Fatalf("router /sweep failed: %s", fr.Error.Message)
+		default:
+			log.Fatalf("router /sweep sent unknown frame %q", fr.Frame)
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func TestDeadlineExceededQueryCounts(t *testing.T) {
 	}
 }
 
-// A client that disconnects mid-/sweep v2 stream aborts the chunk's
+// A client that disconnects mid-/sweep stream aborts the chunk's
 // remaining item execution on the replica: the request context cancels,
 // the chunk stops between items, and the unexecuted remainder lands in
 // cancelled_sweep_items — within a bounded wall clock, not after the
@@ -147,7 +147,6 @@ func TestClientDisconnectAbortsSweepChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", ContentTypeNDJSON)
 
 	reqDone := make(chan error, 1)
 	go func() {
@@ -189,7 +188,7 @@ func TestClientDisconnectAbortsSweepChunk(t *testing.T) {
 	// The replica stays answerable: a fresh full sweep over the same items
 	// succeeds end to end.
 	s.tuneHook = nil
-	results, err := s.CollectSweep(context.Background(), SweepRequest{Items: items})
+	results, err := collectChunk(s, SweepRequest{Items: items})
 	if err != nil {
 		t.Fatalf("follow-up sweep after disconnect: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -29,17 +28,9 @@ func TestHandlerSweepPerItemFidelity(t *testing.T) {
 		{M: 4096, N: 8192, K: 8192, Prim: "AR", Fidelity: FidelityDES},
 		{M: 4096, N: 8192, K: 4096, Prim: "AR"}, // "" inherits the request default (DES)
 	}
-	resp := postSweep(t, srv.URL, SweepRequest{Items: items})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{Items: items})), len(items))
 	wantFid := []string{FidelityAnalytic, FidelityDES, FidelityDES}
-	for i, res := range sr.Results {
+	for i, res := range results {
 		if res.Fidelity != wantFid[i] || string(res.Result.Fidelity) != wantFid[i] {
 			t.Fatalf("result %d labeled (%q, %q), want %q", i, res.Fidelity, res.Result.Fidelity, wantFid[i])
 		}
@@ -53,20 +44,12 @@ func TestHandlerSweepPerItemFidelity(t *testing.T) {
 	}
 
 	// A request-level default applies to unlabeled items only.
-	resp2 := postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityAnalytic}, Items: []SweepItem{
+	results2 := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityAnalytic}, Items: []SweepItem{
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 4096, N: 8192, K: 8192, Prim: "AR", Fidelity: FidelityDES},
-	}})
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("request-default status = %d", resp2.StatusCode)
-	}
-	var sr2 SweepResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&sr2); err != nil {
-		t.Fatal(err)
-	}
-	if sr2.Results[0].Fidelity != FidelityAnalytic || sr2.Results[1].Fidelity != FidelityDES {
-		t.Fatalf("request-default labels = (%q, %q), want (analytic, des)", sr2.Results[0].Fidelity, sr2.Results[1].Fidelity)
+	}})), 2)
+	if results2[0].Fidelity != FidelityAnalytic || results2[1].Fidelity != FidelityDES {
+		t.Fatalf("request-default labels = (%q, %q), want (analytic, des)", results2[0].Fidelity, results2[1].Fidelity)
 	}
 }
 
@@ -85,20 +68,10 @@ func TestHandlerSweepMixed(t *testing.T) {
 		{M: 4096, N: 8192, K: 8192, Prim: "AR"},
 		{M: 8192, N: 8192, K: 4096, Prim: "AR"},
 	}
-	resp := postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Results) != len(items) {
-		t.Fatalf("%d results for %d items", len(sr.Results), len(items))
-	}
+	req := SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items}
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, req)), len(items))
 	nDES, nAnalytic := 0, 0
-	for i, res := range sr.Results {
+	for i, res := range results {
 		switch res.Fidelity {
 		case FidelityDES:
 			nDES++
@@ -111,11 +84,11 @@ func TestHandlerSweepMixed(t *testing.T) {
 	if nDES == 0 || nAnalytic == 0 {
 		t.Fatalf("mixed sweep produced %d des and %d analytic results; both tiers must appear", nDES, nAnalytic)
 	}
-	ref, err := s.CollectSweep(context.Background(), SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items})
+	ref, err := collectChunk(s, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(sr.Results)
+	got, err := json.Marshal(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +102,8 @@ func TestHandlerSweepMixed(t *testing.T) {
 }
 
 // A replica's own mixed /sweep is the engine's mixed policy over the wire:
-// over both protocol versions, the results are byte-identical to
-// engine.MixedBatch on the same grid, and the DES-labeled items are exactly
-// its refined set.
+// the streamed results are byte-identical to engine.MixedBatch on the same
+// grid, and the DES-labeled items are exactly its refined set.
 func TestHandlerSweepMixedMatchesMixedBatch(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -162,56 +134,31 @@ func TestHandlerSweepMixedMatchesMixedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(proto string, results []SweepResult) {
-		t.Helper()
-		got := make([]*core.Result, len(results))
-		var des []int
-		for i, res := range results {
-			got[i] = res.Result
-			if res.Fidelity == FidelityDES {
-				des = append(des, i)
-			}
-		}
-		if !slices.Equal(des, refined) {
-			t.Fatalf("%s: DES-labeled items %v, want MixedBatch's refined %v", proto, des, refined)
-		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, want) {
-			t.Fatalf("%s: mixed /sweep diverges from engine.MixedBatch", proto)
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items})), len(items))
+	got := make([]*core.Result, len(results))
+	var des []int
+	for i, res := range results {
+		got[i] = res.Result
+		if res.Fidelity == FidelityDES {
+			des = append(des, i)
 		}
 	}
-	req := SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items}
-
-	resp := postSweep(t, srv.URL, req)
-	var sr SweepResponse
-	err = json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1: status %d, decode error %v", resp.StatusCode, err)
+	if !slices.Equal(des, refined) {
+		t.Fatalf("DES-labeled items %v, want MixedBatch's refined %v", des, refined)
 	}
-	check("v1", sr.Results)
-
-	frames := decodeFrames(t, postSweepAccept(t, srv.URL, ContentTypeNDJSON, req))
-	if len(frames) != len(items)+1 || frames[len(items)].Frame != FrameDone {
-		t.Fatalf("v2: %d frames for %d items, want one per item plus done", len(frames), len(items))
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamed := make([]SweepResult, len(items))
-	for i, fr := range frames[:len(items)] {
-		if fr.Frame != FrameResult || fr.Index != i {
-			t.Fatalf("v2: frame %d is %q for index %d; a mixed chunk releases in ascending order", i, fr.Frame, fr.Index)
-		}
-		streamed[i] = *fr.Result
+	if !bytes.Equal(gotJSON, want) {
+		t.Fatal("mixed /sweep diverges from engine.MixedBatch")
 	}
-	check("v2", streamed)
 }
 
-// Fidelity misuse is a deterministic rejection (4xx): unknown labels, the
-// "mixed" policy on an individual item, and pre-labeled items under a mixed
-// request would all fail identically on every replica, so none may read as
-// retryable.
+// Fidelity misuse is a deterministic rejection (a non-retryable error
+// frame before any result): unknown labels, the "mixed" policy on an
+// individual item, and pre-labeled items under a mixed request would all
+// fail identically on every replica, so none may read as retryable.
 func TestHandlerSweepFidelityRejections(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -223,12 +170,11 @@ func TestHandlerSweepFidelityRejections(t *testing.T) {
 		"mixed as item fidelity":   {Items: []SweepItem{{M: 2048, N: 8192, K: 4096, Prim: "AR", Fidelity: FidelityMixed}}},
 		"pre-labeled under mixed":  {SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: []SweepItem{{M: 2048, N: 8192, K: 4096, Prim: "AR", Fidelity: FidelityDES}}},
 	} {
-		resp := postSweep(t, srv.URL, req)
-		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
-			t.Errorf("%s: status = %d, want 4xx", name, resp.StatusCode)
+		frames := decodeFrames(t, postSweep(t, srv.URL, req))
+		if len(frames) != 1 || frames[0].Frame != FrameError || frames[0].Error == nil || frames[0].Error.Retryable {
+			t.Errorf("%s: frames = %+v, want one non-retryable error frame", name, frames)
 		}
-		resp.Body.Close()
-		chunk, err := s.CollectSweep(context.Background(), req)
+		chunk, err := collectChunk(s, req)
 		if err == nil {
 			t.Errorf("%s: in-process SweepChunk accepted", name)
 		} else if !IsBadQuery(err) {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,22 +25,21 @@ type QueryResponse struct {
 	Source      string `json:"source"`
 }
 
-// ContentTypeNDJSON is the media type of a v2 /sweep frame stream:
-// newline-delimited JSON, one SweepFrame per line. A client requests it via
-// the Accept header (or the request body's stream field). Every /sweep
-// server here (replica and router) honors it, and shard.HTTPClient always
-// requests it; a plain POST still gets the buffered v1 SweepResponse.
+// ContentTypeNDJSON is the media type of every /sweep reply that gets past
+// request decoding: newline-delimited JSON, one SweepFrame per line. Every
+// /sweep server here (replica and router) replies with it whatever the
+// request's Accept header says.
 const ContentTypeNDJSON = "application/x-ndjson"
 
-// SweepFrame kinds. A v2 stream is any number of result frames followed by
-// exactly one terminal frame — done on success, error on failure.
+// SweepFrame kinds. A /sweep stream is any number of result frames followed
+// by exactly one terminal frame — done on success, error on failure.
 const (
 	FrameResult = "result"
 	FrameDone   = "done"
 	FrameError  = "error"
 )
 
-// SweepFrame is one NDJSON line of a v2 /sweep stream.
+// SweepFrame is one NDJSON line of a /sweep stream.
 type SweepFrame struct {
 	// Frame discriminates the line: FrameResult, FrameDone, or FrameError.
 	Frame string `json:"frame"`
@@ -64,9 +62,7 @@ type SweepFrame struct {
 }
 
 // ErrorBody is the one error schema every endpoint speaks — /query, /sweep,
-// /stats, /healthz, the router's proxied forms, and v2 error frames —
-// replacing the ad-hoc per-endpoint shapes (bare {"error": string},
-// {"error", "index"}, {"error", "index", "results"}).
+// /stats, /healthz, the router's proxied forms, and /sweep error frames.
 type ErrorBody struct {
 	Message string `json:"message"`
 	// Retryable mirrors the status-class split: false for deterministic
@@ -79,11 +75,6 @@ type ErrorBody struct {
 	// Index is the failing item's index for /sweep failures (into the
 	// posted grid); nil when the failure is not attributable to an item.
 	Index *int `json:"index,omitempty"`
-	// Results is the completed prefix of a buffered (v1) /sweep failure —
-	// partial-chunk salvage riding along with the error. A v2 stream has
-	// already delivered the salvage as result frames and reports only the
-	// Salvaged count.
-	Results []SweepResult `json:"results,omitempty"`
 }
 
 // ErrorEnvelope is the JSON error reply of every non-streaming endpoint:
@@ -96,23 +87,9 @@ type ErrorEnvelope struct {
 // deriving Retryable from the status class. Exported so the shard router's
 // endpoints reply byte-identically to a replica's.
 func WriteError(w http.ResponseWriter, status int, err error) {
-	WriteErrorBody(w, status, ErrorBody{Message: err.Error(), Retryable: status >= 500})
-}
-
-// WriteErrorBody writes a fully caller-built error envelope (for /sweep
-// failures carrying an item index or a salvage prefix).
-func WriteErrorBody(w http.ResponseWriter, status int, body ErrorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: body})
-}
-
-// StreamRequested reports whether a /sweep request negotiated the v2 NDJSON
-// stream: an Accept header naming ContentTypeNDJSON, or the decoded
-// request's Stream field. Exported so the router's proxy negotiates
-// identically to a replica.
-func StreamRequested(r *http.Request, req SweepRequest) bool {
-	return req.Stream || strings.Contains(r.Header.Get("Accept"), ContentTypeNDJSON)
+	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Message: err.Error(), Retryable: status >= 500}})
 }
 
 // Handler mounts the service on an HTTP mux:
@@ -129,15 +106,13 @@ func StreamRequested(r *http.Request, req SweepRequest) bool {
 // for internal failures (replica-specific — a router's failover ring
 // retries them elsewhere).
 //
-// POST /sweep speaks two protocol versions. v1 (the default) buffers the
-// whole chunk and replies a JSON SweepResponse; failures carry the failing
-// item's chunk-local index plus the completed prefix under the envelope's
-// "index"/"results", so a coordinator re-dispatches only the unanswered
-// suffix. v2 — negotiated via "Accept: application/x-ndjson" or the
-// request's "stream" field — replies an NDJSON stream of SweepFrame lines:
-// one result frame per item as it completes, then a terminal done frame (or
-// an error frame carrying the envelope body plus the salvaged count), so
-// neither side ever materializes a whole grid.
+// POST /sweep replies an NDJSON stream of SweepFrame lines: one result
+// frame per item as it completes, then a terminal done frame (or an error
+// frame carrying the envelope body, the failing item's chunk-local index
+// and the salvaged count, so a coordinator re-dispatches only the
+// unanswered suffix). Neither side ever materializes a whole grid. A
+// non-200 /sweep reply happens only before anything runs: 405 for another
+// method, 413 for an oversize body, 400 for a malformed or empty one.
 //
 // /healthz is the liveness probe behind dead-replica re-admission: a 200
 // means the process is up and serving. The handler is safe for concurrent
@@ -153,7 +128,7 @@ func Handler(s *Service) http.Handler { return HandlerWithTimeout(s, 0) }
 // (cmd/serve's -request-timeout): each request's context is r.Context()
 // plus, when timeout > 0, a deadline of that duration. A request that
 // exceeds it is abandoned between items/events and answered with the
-// retryable error envelope (or a v2 error frame carrying the salvage
+// retryable error envelope (or a /sweep error frame carrying the salvage
 // count); the warm /query fast path never consults the context and stays
 // zero-alloc.
 func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
@@ -218,30 +193,7 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 		}
 		ctx, cancel := reqCtx(r)
 		defer cancel()
-		if StreamRequested(r, req) {
-			streamSweep(ctx, w, s, req)
-			return
-		}
-		results, err := s.CollectSweep(ctx, req)
-		if err != nil {
-			// Serialize the cause and the chunk-local index separately;
-			// the coordinator's client rebuilds the ChunkError from them.
-			// The completed prefix (partial-chunk completion) rides along
-			// so the coordinator can keep it and re-dispatch only the
-			// unanswered suffix.
-			body := ErrorBody{Results: results}
-			var ce *ChunkError
-			if errors.As(err, &ce) {
-				idx := ce.Index
-				body.Index, err = &idx, ce.Err
-			}
-			status := errStatus(err)
-			body.Message = err.Error()
-			body.Retryable = status >= 500
-			WriteErrorBody(w, status, body)
-			return
-		}
-		writeJSON(w, SweepResponse{Results: results})
+		streamSweep(ctx, w, s, req)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
@@ -254,11 +206,10 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 	return mux
 }
 
-// streamSweep answers a v2-negotiated /sweep: result frames as items
-// complete, then the terminal frame. The status line is committed before
-// execution starts, so failures surface as error frames, not statuses —
-// the frame's Retryable bit carries the classification a buffered reply
-// would encode in the status class.
+// streamSweep answers a decoded /sweep: result frames as items complete,
+// then the terminal frame. The status line is committed before execution
+// starts, so failures surface as error frames, not statuses — the frame's
+// Retryable bit carries the 4xx/5xx classification.
 func streamSweep(ctx context.Context, w http.ResponseWriter, s *Service, req SweepRequest) {
 	w.Header().Set("Content-Type", ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
@@ -280,7 +231,9 @@ func streamSweep(ctx context.Context, w http.ResponseWriter, s *Service, req Swe
 	})
 	if err != nil {
 		// A sink (write) failure means the client is gone — encoding the
-		// terminal frame then fails identically and harmlessly.
+		// terminal frame then fails identically and harmlessly. The cause
+		// and the chunk-local index travel separately; the coordinator's
+		// client rebuilds the ChunkError from them.
 		body := ErrorBody{Retryable: errStatus(err) >= 500}
 		var ce *ChunkError
 		if errors.As(err, &ce) {

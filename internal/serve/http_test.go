@@ -145,6 +145,8 @@ func TestQueryErrorClassification(t *testing.T) {
 	}
 }
 
+// postSweep posts a plain sweep request: no Accept header, and no stream
+// field unless req sets one.
 func postSweep(t *testing.T, url string, req SweepRequest) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -158,7 +160,7 @@ func postSweep(t *testing.T, url string, req SweepRequest) *http.Response {
 	return resp
 }
 
-// POST /sweep executes a chunk in order and returns one result per item;
+// POST /sweep executes a chunk in order and streams one result per item;
 // the untuned results must be byte-identical to the same runs through
 // engine.Exec (the property sweep re-dispatch relies on).
 func TestHandlerSweep(t *testing.T) {
@@ -170,23 +172,12 @@ func TestHandlerSweep(t *testing.T) {
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 4096, N: 8192, K: 8192, Prim: "AR"},
 	}
-	resp := postSweep(t, srv.URL, SweepRequest{Items: items})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Results) != len(items) {
-		t.Fatalf("%d results for %d items", len(sr.Results), len(items))
-	}
-	ref, err := s.CollectSweep(context.Background(), SweepRequest{Items: items})
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{Items: items})), len(items))
+	ref, err := collectChunk(s, SweepRequest{Items: items})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range sr.Results {
+	for i, res := range results {
 		if res.Shape != items[i].Shape().String() {
 			t.Fatalf("result %d answers %q, want %q (input order)", i, res.Shape, items[i].Shape())
 		}
@@ -222,28 +213,21 @@ func TestHandlerSweepTuned(t *testing.T) {
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"}, // duplicate: second must be a cache hit
 	}
-	resp := postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})), len(items))
+	if results[0].Source != SourceTuned || results[1].Source != SourceCache {
+		t.Fatalf("sources = %q, %q; want tuned then cache", results[0].Source, results[1].Source)
 	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Results[0].Source != SourceTuned || sr.Results[1].Source != SourceCache {
-		t.Fatalf("sources = %q, %q; want tuned then cache", sr.Results[0].Source, sr.Results[1].Source)
-	}
-	for i, res := range sr.Results {
+	for i, res := range results {
 		if res.PredictedNs <= 0 || res.Result == nil || res.Result.Latency <= 0 {
 			t.Fatalf("malformed tuned result %d: %+v", i, res)
 		}
 	}
 }
 
-// /sweep errors classify like /query errors and carry the chunk-local index
-// of the failing item, so a coordinator can attribute the failure to a
-// global grid index.
+// /sweep errors classify like /query errors. A request rejected before
+// anything runs gets a 4xx status; an item failure arrives as an error
+// frame carrying the chunk-local index of the failing item, so a
+// coordinator can attribute the failure to a global grid index.
 func TestHandlerSweepErrors(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -271,43 +255,28 @@ func TestHandlerSweepErrors(t *testing.T) {
 		}
 	}
 
-	// A bad item is a deterministic rejection: 422 plus its chunk index.
-	resp = postSweep(t, srv.URL, SweepRequest{Items: []SweepItem{
+	// A bad item is a deterministic rejection: non-retryable, plus its
+	// chunk index.
+	ef := errorFrame(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{Items: []SweepItem{
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 0, N: 8192, K: 4096, Prim: "AR"},
-	}})
-	var env ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
+	}})), 1)
+	if ef.Error.Index == nil || *ef.Error.Index != 1 {
+		t.Fatalf("failing item index = %v, want 1", ef.Error.Index)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad item status = %d, want 422", resp.StatusCode)
-	}
-	if env.Error.Index == nil || *env.Error.Index != 1 {
-		t.Fatalf("failing item index = %v, want 1", env.Error.Index)
-	}
-	if env.Error.Retryable {
+	if ef.Error.Retryable {
 		t.Fatal("deterministic item rejection marked retryable")
 	}
 
-	// An internal failure is 5xx, still attributed to its item.
+	// An internal failure is retryable, still attributed to its item.
 	s.tuneHook = func() error { return errors.New("injected tuner failure") }
-	resp = postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: []SweepItem{
+	ef = errorFrame(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: []SweepItem{
 		{M: 1024, N: 8192, K: 4096, Prim: "AR"},
-	}})
-	env = ErrorEnvelope{}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
+	}})), 0)
+	if ef.Error.Index == nil || *ef.Error.Index != 0 || !strings.Contains(ef.Error.Message, "injected tuner failure") {
+		t.Fatalf("internal failure body = %+v, want index 0 naming the cause", ef.Error)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("internal failure status = %d, want 500", resp.StatusCode)
-	}
-	if env.Error.Index == nil || *env.Error.Index != 0 || !strings.Contains(env.Error.Message, "injected tuner failure") {
-		t.Fatalf("internal failure body = %+v, want index 0 naming the cause", env.Error)
-	}
-	if !env.Error.Retryable {
+	if !ef.Error.Retryable {
 		t.Fatal("internal item failure not marked retryable")
 	}
 }
@@ -354,8 +323,9 @@ func TestHandlerSweepRejectsOversizeBody(t *testing.T) {
 }
 
 // Partial-chunk completion end to end on the serve side: a chunk failing at
-// item i returns the completed prefix results[0..i) both from SweepChunk and
-// in the /sweep error body, so a coordinator re-dispatches only the suffix.
+// item i emits the completed prefix results[0..i) both from SweepChunk and
+// as result frames before the /sweep error frame, so a coordinator
+// re-dispatches only the suffix.
 func TestSweepChunkKeepsCompletedPrefixOnFailure(t *testing.T) {
 	s := testService(t)
 	var tunes atomic.Int64
@@ -370,7 +340,7 @@ func TestSweepChunkKeepsCompletedPrefixOnFailure(t *testing.T) {
 		{M: 4096, N: 8192, K: 8192, Prim: "AR"}, // distinct shape: second tune fails
 	}
 
-	partial, err := s.CollectSweep(context.Background(), SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
+	partial, err := collectChunk(s, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
 	var ce *ChunkError
 	if !errors.As(err, &ce) || ce.Index != 1 {
 		t.Fatalf("error %v does not name chunk item 1", err)
@@ -382,24 +352,18 @@ func TestSweepChunkKeepsCompletedPrefixOnFailure(t *testing.T) {
 		t.Fatalf("salvaged prefix %+v does not answer item 0", partial[0])
 	}
 
-	// The same over HTTP: the error body carries the prefix under
-	// "results". Item 0 is now a cache hit (no tune), item 1 still fails.
+	// The same over HTTP: the prefix streams as result frames, then the
+	// error frame names item 1 and counts the salvage. Item 0 is now a
+	// cache hit (no tune), item 1 still fails.
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
-	resp := postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", resp.StatusCode)
+	frames := decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items}))
+	ef := errorFrame(t, frames, 1)
+	if ef.Error.Index == nil || *ef.Error.Index != 1 {
+		t.Fatalf("error frame index %v, want 1", ef.Error.Index)
 	}
-	var env ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Index == nil || *env.Error.Index != 1 || len(env.Error.Results) != 1 {
-		t.Fatalf("error body index %v with %d results, want index 1 with the 1-item prefix", env.Error.Index, len(env.Error.Results))
-	}
-	if env.Error.Results[0].Shape != items[0].Shape().String() {
-		t.Fatalf("prefix answers %q, want item 0 (%q)", env.Error.Results[0].Shape, items[0].Shape())
+	if res := frames[0].Result; frames[0].Frame != FrameResult || res == nil || res.Shape != items[0].Shape().String() {
+		t.Fatalf("prefix frame %+v, want item 0 (%q)", frames[0], items[0].Shape())
 	}
 }
 

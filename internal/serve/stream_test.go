@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,35 +14,23 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gemm"
+	"repro/internal/hw"
 )
 
-// postSweepAccept posts a sweep request with an explicit Accept header.
-func postSweepAccept(t *testing.T, url, accept string, req SweepRequest) *http.Response {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/sweep", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		hreq.Header.Set("Accept", accept)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-// decodeFrames drains an NDJSON sweep stream into its frame sequence.
+// decodeFrames drains a /sweep reply into its frame sequence, asserting
+// the status and media type every decoded request gets.
 func decodeFrames(t *testing.T, resp *http.Response) []SweepFrame {
 	t.Helper()
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d; a /sweep stream commits 200 before executing", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeNDJSON {
+		t.Fatalf("Content-Type = %q, want %q", ct, ContentTypeNDJSON)
+	}
 	dec := json.NewDecoder(resp.Body)
 	var frames []SweepFrame
 	for dec.More() {
@@ -54,10 +43,65 @@ func decodeFrames(t *testing.T, resp *http.Response) []SweepFrame {
 	return frames
 }
 
-// The v2 stream: a client sending Accept: application/x-ndjson gets one
-// result frame per item, indices ascending, each labeled with its fidelity,
-// then a terminal done frame counting them — and the streamed results are
-// byte-identical to the buffered v1 reply over the same chunk.
+// streamResults asserts a replica's frame sequence is one result frame per
+// item, indices ascending (flat and mixed chunks both release in order),
+// each labeled like its result, then a done frame counting them.
+func streamResults(t *testing.T, frames []SweepFrame, nItems int) []SweepResult {
+	t.Helper()
+	if len(frames) != nItems+1 {
+		t.Fatalf("%d frames for %d items, want one per item plus done", len(frames), nItems)
+	}
+	if done := frames[nItems]; done.Frame != FrameDone || done.Count != nItems {
+		t.Fatalf("terminal frame = %+v, want done counting %d", done, nItems)
+	}
+	results := make([]SweepResult, nItems)
+	for i, fr := range frames[:nItems] {
+		if fr.Frame != FrameResult || fr.Result == nil {
+			t.Fatalf("frame %d = %+v, want a result frame", i, fr)
+		}
+		if fr.Index != i {
+			t.Fatalf("frame %d carries index %d; a replica streams in ascending order", i, fr.Index)
+		}
+		if fr.Fidelity != fr.Result.Fidelity {
+			t.Fatalf("frame %d fidelity %q disagrees with its result's %q", i, fr.Fidelity, fr.Result.Fidelity)
+		}
+		results[i] = *fr.Result
+	}
+	return results
+}
+
+// collectChunk runs SweepChunk in process into a slice: the reference the
+// HTTP stream is compared against. A failed chunk returns its emitted
+// prefix with the error.
+func collectChunk(s *Service, req SweepRequest) ([]SweepResult, error) {
+	var out []SweepResult
+	err := s.SweepChunk(context.Background(), req, func(_ int, res SweepResult) error {
+		out = append(out, res)
+		return nil
+	})
+	return out, err
+}
+
+// errorFrame asserts the stream ends in an error frame after exactly
+// salvaged result frames, and returns the frame.
+func errorFrame(t *testing.T, frames []SweepFrame, salvaged int) SweepFrame {
+	t.Helper()
+	if len(frames) != salvaged+1 {
+		t.Fatalf("%d frames, want %d salvaged results plus the error frame", len(frames), salvaged)
+	}
+	ef := frames[salvaged]
+	if ef.Frame != FrameError || ef.Error == nil {
+		t.Fatalf("terminal frame = %+v, want an error frame", ef)
+	}
+	if ef.Salvaged != salvaged {
+		t.Fatalf("salvaged = %d, want %d", ef.Salvaged, salvaged)
+	}
+	return ef
+}
+
+// The stream: one result frame per item, indices ascending, each labeled
+// with its fidelity, then a terminal done frame counting them — and the
+// streamed results are byte-identical to the same chunk run in process.
 func TestHandlerSweepStreamsV2Frames(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -68,38 +112,14 @@ func TestHandlerSweepStreamsV2Frames(t *testing.T) {
 		{M: 4096, N: 8192, K: 8192, Prim: "AR"},
 		{M: 8192, N: 8192, K: 4096, Prim: "AR"},
 	}
-	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{Items: items})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeNDJSON {
-		t.Fatalf("Content-Type = %q, want %q", ct, ContentTypeNDJSON)
-	}
-	frames := decodeFrames(t, resp)
-	if len(frames) != len(items)+1 {
-		t.Fatalf("%d frames for %d items, want one per item plus done", len(frames), len(items))
-	}
-	results := make([]SweepResult, len(items))
-	for i, fr := range frames[:len(items)] {
-		if fr.Frame != FrameResult || fr.Result == nil {
-			t.Fatalf("frame %d = %+v, want a result frame", i, fr)
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{Items: items})), len(items))
+	for i, res := range results {
+		if res.Fidelity != FidelityDES {
+			t.Fatalf("result %d fidelity = %q, want %q", i, res.Fidelity, FidelityDES)
 		}
-		if fr.Index != i {
-			t.Fatalf("frame %d carries index %d; flat chunks stream in ascending order", i, fr.Index)
-		}
-		if fr.Fidelity != FidelityDES || fr.Result.Fidelity != FidelityDES {
-			t.Fatalf("frame %d fidelity = %q/%q, want %q on both the frame and the result",
-				i, fr.Fidelity, fr.Result.Fidelity, FidelityDES)
-		}
-		results[i] = *fr.Result
-	}
-	done := frames[len(items)]
-	if done.Frame != FrameDone || done.Count != len(items) {
-		t.Fatalf("terminal frame = %+v, want done counting %d", done, len(items))
 	}
 
-	// v1 and v2 must be the same results on the wire, byte for byte.
-	ref, err := s.CollectSweep(context.Background(), SweepRequest{Items: items})
+	ref, err := collectChunk(s, SweepRequest{Items: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +132,7 @@ func TestHandlerSweepStreamsV2Frames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("streamed results diverge from the buffered CollectSweep reply")
+		t.Fatal("streamed results diverge from the in-process SweepChunk")
 	}
 
 	// The wire plan omits the launch permutation, and loses nothing by it:
@@ -147,7 +167,7 @@ func TestHandlerSweepFrameSizeIndependentOfTileCount(t *testing.T) {
 		{M: 1024, N: 4096, K: 2048, Prim: "AR"},
 		{M: 16384, N: 28672, K: 14336, Prim: "AR"},
 	}
-	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
+	resp := postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -176,45 +196,61 @@ func TestHandlerSweepFrameSizeIndependentOfTileCount(t *testing.T) {
 	}
 }
 
-// Protocol negotiation: the stream engages on either the Accept header or
-// the request's "stream" field, and a plain v1 POST keeps getting the
-// buffered JSON body it always got.
-func TestHandlerSweepStreamNegotiation(t *testing.T) {
+// A plain POST — no Accept header, no "stream" field — gets the NDJSON
+// frame stream, the only /sweep reply there is, and its results are
+// byte-identical to single-process engine.Batch for an untuned grid and to
+// engine.MixedBatch for a mixed-fidelity one.
+func TestHandlerSweepPlainPostStreams(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
-	items := []SweepItem{{M: 2048, N: 8192, K: 4096, Prim: "AR"}}
 
-	// v1: no Accept, no stream field — buffered JSON.
-	resp := postSweepAccept(t, srv.URL, "", SweepRequest{Items: items})
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("v1 Content-Type = %q, want application/json", ct)
+	var items []string
+	var runs []core.Options
+	for _, m := range []int{1024, 2048, 4096, 8192} {
+		for _, k := range []int{4096, 8192} {
+			items = append(items, fmt.Sprintf(`{"m":%d,"n":8192,"k":%d,"prim":"AR"}`, m, k))
+			runs = append(runs, core.Options{Plat: s.cfg.Plat, NGPUs: s.cfg.NGPUs, Shape: gemm.Shape{M: m, N: 8192, K: k}, Prim: hw.AllReduce})
+		}
 	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	eng := engine.New(0, 0)
+	batch, err := eng.Batch(context.Background(), runs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if len(sr.Results) != 1 {
-		t.Fatalf("v1 reply carries %d results, want 1", len(sr.Results))
+	mixed, _, err := eng.MixedBatch(context.Background(), runs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// v2 via the body field, no Accept header.
-	resp = postSweepAccept(t, srv.URL, "", SweepRequest{Stream: true, Items: items})
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeNDJSON {
-		t.Fatalf("stream:true Content-Type = %q, want %q", ct, ContentTypeNDJSON)
+	for _, tc := range []struct {
+		name, spec string
+		ref        []*core.Result
+	}{
+		{"untuned", ``, batch},
+		{"mixed", `"fidelity":"mixed",`, mixed},
+	} {
+		body := `{` + tc.spec + `"items":[` + strings.Join(items, ",") + `]}`
+		resp, err := http.Post(srv.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := streamResults(t, decodeFrames(t, resp), len(runs))
+		got := make([]*core.Result, len(results))
+		for i, res := range results {
+			got[i] = res.Result
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(tc.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%s: plain-POST stream diverges from the single-process engine", tc.name)
+		}
 	}
-	frames := decodeFrames(t, resp)
-	if len(frames) != 2 || frames[0].Frame != FrameResult || frames[1].Frame != FrameDone {
-		t.Fatalf("stream:true frames = %+v, want result+done", frames)
-	}
-
-	// v2 via an Accept list that merely includes ndjson.
-	resp = postSweepAccept(t, srv.URL, "application/json, "+ContentTypeNDJSON, SweepRequest{Items: items})
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeNDJSON {
-		t.Fatalf("Accept-list Content-Type = %q, want %q", ct, ContentTypeNDJSON)
-	}
-	resp.Body.Close()
 }
 
 // A chunk failing mid-stream has already committed its 200: the failure
@@ -237,23 +273,10 @@ func TestHandlerSweepStreamErrorFrameCarriesSalvage(t *testing.T) {
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 4096, N: 8192, K: 8192, Prim: "AR"}, // distinct shape: second tune fails
 	}
-	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d; a v2 stream commits 200 before executing", resp.StatusCode)
-	}
-	frames := decodeFrames(t, resp)
-	if len(frames) != 2 {
-		t.Fatalf("%d frames, want the salvaged result plus the error frame", len(frames))
-	}
+	frames := decodeFrames(t, postSweep(t, srv.URL, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items}))
+	ef := errorFrame(t, frames, 1)
 	if frames[0].Frame != FrameResult || frames[0].Index != 0 {
 		t.Fatalf("frame 0 = %+v, want item 0's salvaged result", frames[0])
-	}
-	ef := frames[1]
-	if ef.Frame != FrameError || ef.Error == nil {
-		t.Fatalf("terminal frame = %+v, want an error frame", ef)
-	}
-	if ef.Salvaged != 1 {
-		t.Fatalf("salvaged = %d, want 1", ef.Salvaged)
 	}
 	if !ef.Error.Retryable {
 		t.Fatal("internal failure not marked retryable in the error frame")
@@ -268,7 +291,7 @@ func TestHandlerSweepStreamErrorFrameCarriesSalvage(t *testing.T) {
 
 // Deterministic rejections keep their classification on the stream: a bad
 // item yields an error frame with retryable=false, so a ring client rebuilds
-// the same non-retryable QueryError a 4xx status used to carry.
+// the same non-retryable QueryError a 4xx status would carry.
 func TestHandlerSweepStreamErrorFrameNonRetryable(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -278,29 +301,18 @@ func TestHandlerSweepStreamErrorFrameNonRetryable(t *testing.T) {
 		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
 		{M: 0, N: 8192, K: 4096, Prim: "AR"}, // deterministic rejection
 	}
-	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{Items: items})
-	frames := decodeFrames(t, resp)
-	if len(frames) != 2 {
-		t.Fatalf("%d frames, want item 0's result plus the error frame", len(frames))
-	}
-	ef := frames[1]
-	if ef.Frame != FrameError || ef.Error == nil {
-		t.Fatalf("terminal frame = %+v, want an error frame", ef)
-	}
+	ef := errorFrame(t, decodeFrames(t, postSweep(t, srv.URL, SweepRequest{Items: items})), 1)
 	if ef.Error.Retryable {
 		t.Fatal("deterministic rejection marked retryable on the stream")
 	}
 	if ef.Error.Index == nil || *ef.Error.Index != 1 {
 		t.Fatalf("error frame index = %v, want 1", ef.Error.Index)
 	}
-	if ef.Salvaged != 1 {
-		t.Fatalf("salvaged = %d, want item 0 delivered before the rejection", ef.Salvaged)
-	}
 }
 
 // A mixed-fidelity chunk streams too: both tiers' frames arrive (analytic
 // keepers and DES winners), every frame labeled, and the merged stream is
-// byte-identical to the buffered mixed reply.
+// byte-identical to the in-process mixed chunk.
 func TestHandlerSweepStreamsMixedFidelity(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -312,39 +324,23 @@ func TestHandlerSweepStreamsMixedFidelity(t *testing.T) {
 			items = append(items, SweepItem{M: m, N: 8192, K: k, Prim: "AR"})
 		}
 	}
-	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items})
-	frames := decodeFrames(t, resp)
-	if frames[len(frames)-1].Frame != FrameDone {
-		t.Fatalf("terminal frame = %+v, want done", frames[len(frames)-1])
-	}
-	results := make([]SweepResult, len(items))
-	seen := make([]bool, len(items))
+	req := SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items}
+	results := streamResults(t, decodeFrames(t, postSweep(t, srv.URL, req)), len(items))
 	nDES, nAnalytic := 0, 0
-	for _, fr := range frames[:len(frames)-1] {
-		if fr.Frame != FrameResult || fr.Result == nil {
-			t.Fatalf("frame %+v, want a result frame", fr)
-		}
-		if seen[fr.Index] {
-			t.Fatalf("index %d streamed twice", fr.Index)
-		}
-		seen[fr.Index] = true
-		if fr.Fidelity != fr.Result.Fidelity {
-			t.Fatalf("frame fidelity %q disagrees with its result's %q", fr.Fidelity, fr.Result.Fidelity)
-		}
-		switch fr.Fidelity {
+	for i, res := range results {
+		switch res.Fidelity {
 		case FidelityDES:
 			nDES++
 		case FidelityAnalytic:
 			nAnalytic++
 		default:
-			t.Fatalf("frame labeled %q", fr.Fidelity)
+			t.Fatalf("result %d labeled %q", i, res.Fidelity)
 		}
-		results[fr.Index] = *fr.Result
 	}
 	if nDES == 0 || nAnalytic == 0 {
 		t.Fatalf("mixed stream carried %d des and %d analytic frames; both tiers must appear", nDES, nAnalytic)
 	}
-	ref, err := s.CollectSweep(context.Background(), SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items})
+	ref, err := collectChunk(s, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,6 +353,6 @@ func TestHandlerSweepStreamsMixedFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("mixed stream diverges from the buffered CollectSweep reply")
+		t.Fatal("mixed stream diverges from the in-process SweepChunk")
 	}
 }

@@ -131,14 +131,12 @@ type SweepSpec struct {
 
 // SweepRequest is the JSON body of POST /sweep: one chunk of a (possibly
 // fleet-wide) sweep grid, processed in order on the replica, plus the
-// embedded SweepSpec knobs. The v1 body is unchanged field for field; the
-// only addition is Stream, the in-body form of v2 protocol negotiation.
+// embedded SweepSpec knobs.
 type SweepRequest struct {
 	SweepSpec
-	// Stream requests the v2 NDJSON frame-stream reply in the request body
-	// itself — equivalent to sending "Accept: application/x-ndjson".
-	// Absent (the v1 default) the reply is the buffered JSON SweepResponse,
-	// byte-compatible with pre-v2 servers and clients.
+	// Stream is accepted and ignored: every /sweep reply is the NDJSON
+	// frame stream. The field stays only because Go callers still set it
+	// (perfbench does).
 	Stream bool        `json:"stream,omitempty"`
 	Items  []SweepItem `json:"items"`
 }
@@ -160,11 +158,6 @@ type SweepResult struct {
 	PredictedNs int64        `json:"predicted_ns,omitempty"`
 	Source      string       `json:"source,omitempty"`
 	Result      *core.Result `json:"result"`
-}
-
-// SweepResponse is the buffered (v1) JSON reply of POST /sweep.
-type SweepResponse struct {
-	Results []SweepResult `json:"results"`
 }
 
 // ChunkError is the error SweepChunk returns: the failing item's index
@@ -190,7 +183,7 @@ type SweepSink func(index int, res SweepResult) error
 // the cache-warming locality a replica's owned slice is partitioned for —
 // and emits each result into sink as it completes, so the chunk's memory
 // footprint is O(1) results however long the chunk: the execution core of
-// the v2 streaming wire protocol.
+// the /sweep frame stream.
 //
 // Flat (single-tier) chunks emit in ascending index order; on failure,
 // exactly the completed prefix [0, Index) has been emitted — the emitted
@@ -255,18 +248,6 @@ func (s *Service) sweepChunk(ctx context.Context, req SweepRequest, sink SweepSi
 		return s.sweepChunkMixed(ctx, req, sink)
 	}
 	return &ChunkError{Index: 0, Err: badQueryf("serve: unknown sweep fidelity %q (want %q, %q, or %q)", req.Fidelity, FidelityDES, FidelityAnalytic, FidelityMixed)}
-}
-
-// CollectSweep runs SweepChunk into a slice: the buffered (v1) form. On
-// failure the completed prefix rides along with the error, preserving the
-// partial-chunk salvage for callers that still materialize replies.
-func (s *Service) CollectSweep(ctx context.Context, req SweepRequest) ([]SweepResult, error) {
-	out := make([]SweepResult, 0, len(req.Items))
-	err := s.SweepChunk(ctx, req, func(_ int, res SweepResult) error {
-		out = append(out, res)
-		return nil
-	})
-	return out, err
 }
 
 // sweepChunkFlat is the single-tier chunk loop: every item executes at its

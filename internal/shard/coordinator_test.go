@@ -668,9 +668,11 @@ func TestParseReplicas(t *testing.T) {
 }
 
 // The router front-end must proxy /sweep across the fleet: a client posting
-// a grid to the router gets the merged, attributed results — so a sweep
-// driver pointed at a router as a one-replica "fleet" transparently fans
-// out over the real one.
+// a plain grid (no Accept header, no stream field) to the router gets the
+// merged, attributed results as the NDJSON frame stream, byte-identical to
+// single-process engine.Batch untuned and to engine.MixedBatch at mixed
+// fidelity — so a sweep driver pointed at a router as a one-replica
+// "fleet" transparently fans out over the real one.
 func TestRouterHandlerProxiesSweep(t *testing.T) {
 	items := coordItems()
 	refJSON := coordReference(t, items)
@@ -678,33 +680,21 @@ func TestRouterHandlerProxiesSweep(t *testing.T) {
 	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 
-	body, err := json.Marshal(serve.SweepRequest{Items: items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var rs RoutedSweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Results) != len(items) {
-		t.Fatalf("%d results for %d items", len(rs.Results), len(items))
-	}
-	if !bytes.Equal(mergedJSON(t, rs.Results), refJSON) {
+	results := streamResults(t, postStream(t, front.URL, serve.SweepRequest{Items: items}), len(items))
+	if !bytes.Equal(mergedJSON(t, results), refJSON) {
 		t.Fatal("proxied sweep diverges from single-process engine.Batch")
 	}
-	for i, res := range rs.Results {
+	for i, res := range results {
 		if res.Owner != r.Partitioner().Owner(items[i].Shape()) {
 			t.Fatalf("item %d attributed to owner %d, want %d", i, res.Owner, r.Partitioner().Owner(items[i].Shape()))
 		}
 	}
+	mixedJSON, refined := coordMixedReference(t, items)
+	mixed := streamResults(t, postStream(t, front.URL, serve.SweepRequest{SweepSpec: serve.SweepSpec{Fidelity: serve.FidelityMixed}, Items: items}), len(items))
+	if !bytes.Equal(mergedJSON(t, mixed), mixedJSON) {
+		t.Fatal("proxied mixed sweep diverges from single-process engine.MixedBatch")
+	}
+	checkMixedLabels(t, mixed, refined)
 
 	// And the full composition: an outer coordinator treating the router
 	// as a one-replica fleet still produces the identical merge.
@@ -712,7 +702,7 @@ func TestRouterHandlerProxiesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := NewCoordinator(outer).Sweep(context.Background(), items)
+	results, err = NewCoordinator(outer).Sweep(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +711,7 @@ func TestRouterHandlerProxiesSweep(t *testing.T) {
 	}
 
 	// Failure attribution must survive the proxy hop too: the router's
-	// error reply carries the failing item's index into the posted grid,
+	// error frame carries the failing item's index into the posted grid,
 	// so the outer coordinator names the right global item.
 	badItems := append([]serve.SweepItem(nil), items...)
 	bad := 4

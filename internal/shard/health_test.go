@@ -3,10 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -607,42 +605,6 @@ func TestExhaustedBudgetNamesUnansweredItemAfterSalvage(t *testing.T) {
 	}
 }
 
-// The wire form of partial-chunk completion: a non-OK /sweep reply carrying
-// the completed prefix under "results" must surface both the rebuilt
-// *serve.ChunkError and the salvage.
-func TestHTTPClientSweepRebuildsPartialResults(t *testing.T) {
-	prefix := []serve.SweepResult{
-		{Shape: "2048x8192x4096", Primitive: "AllReduce"},
-		{Shape: "4096x8192x4096", Primitive: "AllReduce"},
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		idx := 2
-		serve.WriteErrorBody(w, http.StatusInternalServerError, serve.ErrorBody{
-			Message:   "engine crashed mid-chunk",
-			Retryable: true,
-			Index:     &idx,
-			Results:   prefix,
-		})
-	}))
-	defer srv.Close()
-
-	c := &HTTPClient{Base: srv.URL}
-	got, err := collectClient(c, serve.SweepRequest{Items: make([]serve.SweepItem, 4)})
-	if err == nil {
-		t.Fatal("500 reply did not surface an error")
-	}
-	var ce *serve.ChunkError
-	if !errors.As(err, &ce) || ce.Index != 2 {
-		t.Fatalf("error %v does not carry chunk index 2", err)
-	}
-	if !retryable(err) {
-		t.Fatalf("5xx partial failure classified non-retryable: %v", err)
-	}
-	if len(got) != 2 || got[0].Shape != prefix[0].Shape || got[1].Shape != prefix[1].Shape {
-		t.Fatalf("salvaged prefix %+v, want the 2 completed results", got)
-	}
-}
-
 // The router's /sweep proxy must honor the forwarded chunk size and attempt
 // budget instead of silently rebuilding a coordinator with defaults.
 func TestRouterSweepProxyHonorsForwardedKnobs(t *testing.T) {
@@ -674,18 +636,7 @@ func TestRouterSweepProxyHonorsForwardedKnobs(t *testing.T) {
 		front := httptest.NewServer(r.Handler())
 		defer front.Close()
 
-		body, err := json.Marshal(serve.SweepRequest{SweepSpec: serve.SweepSpec{Chunk: 2}, Items: items})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d", resp.StatusCode)
-		}
+		streamResults(t, postStream(t, front.URL, serve.SweepRequest{SweepSpec: serve.SweepSpec{Chunk: 2}, Items: items}), len(items))
 		mu.Lock()
 		defer mu.Unlock()
 		if len(calls) <= 2 {
@@ -718,18 +669,10 @@ func TestRouterSweepProxyHonorsForwardedKnobs(t *testing.T) {
 		front := httptest.NewServer(r.Handler())
 		defer front.Close()
 
-		body, err := json.Marshal(serve.SweepRequest{SweepSpec: serve.SweepSpec{Attempts: 1 << 20}, Items: items})
-		if err != nil {
-			t.Fatal(err)
-		}
 		start := time.Now()
-		resp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatal("sweep over a dead fleet succeeded")
+		frames := postStream(t, front.URL, serve.SweepRequest{SweepSpec: serve.SweepSpec{Attempts: 1 << 20}, Items: items})
+		if last := frames[len(frames)-1]; last.Frame != serve.FrameError {
+			t.Fatalf("sweep over a dead fleet ended with %+v, want an error frame", last)
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("clamped budget took %v; the proxy goroutine was wedged by the remote attempts value", elapsed)
@@ -767,32 +710,20 @@ func TestRouterSweepProxyHonorsForwardedKnobs(t *testing.T) {
 			front := httptest.NewServer(r.Handler())
 			defer front.Close()
 
-			body, err := json.Marshal(serve.SweepRequest{SweepSpec: serve.SweepSpec{Attempts: tc.attempts}, Items: sub})
-			if err != nil {
-				t.Fatal(err)
+			frames := postStream(t, front.URL, serve.SweepRequest{SweepSpec: serve.SweepSpec{Attempts: tc.attempts}, Items: sub})
+			if tc.wantOK {
+				streamResults(t, frames, len(sub))
+				return
 			}
-			resp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			ef := frames[len(frames)-1]
+			if ef.Frame != serve.FrameError || ef.Error == nil {
+				t.Fatalf("sweep with attempts=1 and a dead owner ended with %+v, want an error frame; forwarded budget ignored", ef)
 			}
-			defer resp.Body.Close()
-			if tc.wantOK && resp.StatusCode != http.StatusOK {
-				t.Fatalf("status = %d with failover budget, want 200", resp.StatusCode)
+			if !strings.Contains(ef.Error.Message, "re-dispatch budget") {
+				t.Fatalf("error %q does not name the exhausted budget", ef.Error.Message)
 			}
-			if !tc.wantOK {
-				if resp.StatusCode == http.StatusOK {
-					t.Fatal("sweep succeeded with attempts=1 and a dead owner; forwarded budget ignored")
-				}
-				var env serve.ErrorEnvelope
-				if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(env.Error.Message, "re-dispatch budget") {
-					t.Fatalf("error %q does not name the exhausted budget", env.Error.Message)
-				}
-				if !env.Error.Retryable {
-					t.Fatal("exhausted budget not marked retryable in the envelope")
-				}
+			if !ef.Error.Retryable {
+				t.Fatal("exhausted budget not marked retryable in the error frame")
 			}
 		})
 	}

@@ -60,7 +60,7 @@ func retryable(err error) bool {
 }
 
 // ReplyError marks a failure the replica itself reported over a live
-// connection — a structured 5xx reply or a v2 error frame. Retryable
+// connection — a structured 5xx reply or a /sweep error frame. Retryable
 // (another replica may succeed), but proof of liveness: the health plane
 // must not bench the sender as if it had timed out.
 type ReplyError struct {
@@ -148,13 +148,23 @@ func ParseReplicas(raw string) ([]string, error) {
 	return urls, nil
 }
 
-// decodeWireError parses a non-200 reply body: the unified error envelope
-// {"error": {"message", "retryable", ...}}. Garbage bodies yield a zero
-// ErrorBody; callers default the message to the HTTP status.
-func decodeWireError(r io.Reader) serve.ErrorBody {
+// replyError classifies a non-200 reply, decoding its error envelope (a
+// garbage body falls back to the HTTP status as the message). The replica
+// answered either way: a 4xx is a deterministic rejection another replica
+// would repeat (QueryError), anything else a retryable failure that proves
+// liveness (ReplyError).
+func (c *HTTPClient) replyError(path string, resp *http.Response) error {
 	var env serve.ErrorEnvelope
-	_ = json.NewDecoder(r).Decode(&env)
-	return env.Error
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	msg := env.Error.Message
+	if msg == "" {
+		msg = resp.Status
+	}
+	err := fmt.Errorf("shard: %s%s: %s", c.Base, path, msg)
+	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		return &QueryError{Status: resp.StatusCode, Err: err}
+	}
+	return &ReplyError{Status: resp.StatusCode, Err: err}
 }
 
 func (c *HTTPClient) get(ctx context.Context, path string, out any) error {
@@ -168,18 +178,7 @@ func (c *HTTPClient) get(ctx context.Context, path string, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := decodeWireError(resp.Body)
-		if eb.Message == "" {
-			eb.Message = resp.Status
-		}
-		err := fmt.Errorf("shard: %s%s: %s", c.Base, path, eb.Message)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// The replica understood the request and rejected it;
-			// another replica would too.
-			return &QueryError{Status: resp.StatusCode, Err: err}
-		}
-		// A structured 5xx is the replica answering, not dying.
-		return &ReplyError{Status: resp.StatusCode, Err: err}
+		return c.replyError(path, resp)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("shard: %s%s: decoding reply: %w", c.Base, path, err)
@@ -212,12 +211,13 @@ func (c *HTTPClient) Query(ctx context.Context, q serve.Query) (serve.Answer, er
 	}, nil
 }
 
-// Sweep posts one sweep chunk to the replica's /sweep endpoint, negotiating
-// the v2 NDJSON stream (Accept: application/x-ndjson) and feeding each
-// result frame into sink as it arrives — the replica's completed items
-// reach the coordinator even when the replica dies mid-chunk. Failures carrying a chunk-local item index are rebuilt as
-// *serve.ChunkError, so coordinators attribute remote failures exactly like
-// local ones.
+// Sweep posts one sweep chunk to the replica's /sweep endpoint and feeds
+// each result frame of the NDJSON reply into sink as it arrives — the
+// replica's completed items reach the coordinator even when the replica
+// dies mid-chunk. An error frame carrying a chunk-local item index is
+// rebuilt as *serve.ChunkError, so coordinators attribute remote failures
+// exactly like local ones. A non-200 reply means the chunk was rejected
+// before anything ran.
 func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -235,42 +235,17 @@ func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink ser
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := decodeWireError(resp.Body)
-		if eb.Message == "" {
-			eb.Message = resp.Status
-		}
-		// Deliver the envelope's salvage prefix through the sink first —
-		// the buffered-path equivalent of the result frames a v2 stream
-		// would already have delivered before its error frame.
-		for i, r := range eb.Results {
-			if serr := sink(i, r); serr != nil {
-				return serr
-			}
-		}
-		cause := error(fmt.Errorf("shard: %s/sweep: %s", c.Base, eb.Message))
-		if eb.Index != nil && *eb.Index >= 0 {
-			cause = &serve.ChunkError{Index: *eb.Index, Err: cause}
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// The replica understood the chunk and rejected it;
-			// another replica would too.
-			return &QueryError{Status: resp.StatusCode, Err: cause}
-		}
-		// The structured reply (indexed or not) marks the replica as
-		// having answered, not died.
-		if eb.Index == nil || *eb.Index < 0 {
-			cause = &ReplyError{Status: resp.StatusCode, Err: cause}
-		}
-		return cause
+		return c.replyError("/sweep", resp)
 	}
 	return c.sweepFrames(resp.Body, sink)
 }
 
-// sweepFrames consumes a v2 NDJSON sweep stream: result frames feed the
-// sink as they arrive, a done frame completes the chunk, and an error frame
-// is rebuilt into the same error taxonomy the status-coded path uses — the
-// stream committed its 200 before executing, so the frame's retryable bit
-// carries the 4xx/5xx split instead of the status line.
+// sweepFrames consumes a /sweep NDJSON stream: result frames feed the sink
+// as they arrive, a done frame completes the chunk, and an error frame is
+// rebuilt into the same error taxonomy replyError uses — the stream
+// committed its 200 before executing, so the frame's retryable bit carries
+// the 4xx/5xx split instead of the status line. It returns nil only after
+// decoding a done frame.
 func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 	dec := json.NewDecoder(body)
 	for {
@@ -729,14 +704,6 @@ type RoutedResponse struct {
 	Replica int `json:"replica"`
 }
 
-// RoutedSweepResponse is the router's buffered (v1) /sweep reply: per-item
-// results with routing attribution, plus the number of chunks this sweep
-// re-dispatched through the failover ring.
-type RoutedSweepResponse struct {
-	Results      []SweepResult `json:"results"`
-	Redispatches uint64        `json:"redispatches"`
-}
-
 // routedFrame mirrors serve.SweepFrame with the router's attributed result
 // type: the same frame grammar on the wire, with owner/replica fields in
 // every result. Clients decoding into serve.SweepFrame simply ignore the
@@ -757,9 +724,8 @@ type routedFrame struct {
 // from a single serve process (except for the extra attribution fields).
 // /sweep is proxied through a Coordinator over the fleet, which means a
 // cmd/sweep pointed at a router as a one-replica "fleet" transparently fans
-// out across the real one — and a v2 client streaming from the router gets
-// result frames as the fleet's chunks complete, proxied without buffering
-// the grid.
+// out across the real one — and the client gets result frames as the
+// fleet's chunks complete, proxied without buffering the grid.
 //
 // Every request executes under a context derived from the client's
 // (req.Context()), so a client hanging up on the router tears down the
@@ -841,38 +807,7 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		co.Spec.Attempts = min(sr.Attempts, 2*len(r.clients))
 		ctx, cancel := reqCtx(req)
 		defer cancel()
-		if serve.StreamRequested(req, sr) {
-			r.streamSweep(ctx, w, co, sr.Items)
-			return
-		}
-		results, err := co.Sweep(ctx, sr.Items)
-		if err != nil {
-			status := http.StatusBadGateway
-			var qe *QueryError
-			if errors.As(err, &qe) {
-				status = qe.Status
-				if status == 0 {
-					status = http.StatusUnprocessableEntity
-				}
-			}
-			// Forward the failing item's index (into the posted grid)
-			// like a replica's /sweep does, so an outer coordinator
-			// driving this router as a one-replica fleet re-attributes
-			// the failure to its own global index instead of blaming
-			// the chunk's first item. The buffered path carries no
-			// salvage (Coordinator.Sweep returns no results on failure);
-			// v2 streaming is what exposes the fleet's partial progress
-			// to the outer caller.
-			body := serve.ErrorBody{Message: err.Error(), Retryable: status >= 500}
-			var fe *fanError
-			if errors.As(err, &fe) {
-				idx := fe.At
-				body.Index = &idx
-			}
-			serve.WriteErrorBody(w, status, body)
-			return
-		}
-		writeJSON(w, RoutedSweepResponse{Results: results, Redispatches: co.Redispatches()})
+		r.streamSweep(ctx, w, co, sr.Items)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, r.Stats(req.Context()))
@@ -886,7 +821,7 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 	return mux
 }
 
-// streamSweep proxies one v2 sweep over the fleet: Coordinator.Stream's
+// streamSweep proxies one sweep over the fleet: Coordinator.Stream's
 // merged emissions become result frames flushed as each chunk completes, so
 // the router holds O(chunk) per shard — never the grid — between the
 // client and the fleet. The 200 is committed before the sweep runs;

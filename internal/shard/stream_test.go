@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -80,25 +83,15 @@ func TestCoordinatorStreamSinkErrorAborts(t *testing.T) {
 	}
 }
 
-// postStream posts a v2 sweep to a router front-end, negotiating the stream
-// either with the Accept header or the request's stream field, and returns
-// the decoded frame sequence.
-func postStream(t *testing.T, url string, viaHeader bool, req serve.SweepRequest) []routedFrame {
+// postStream posts a plain sweep request (no Accept header, no stream
+// field) to a router front-end and returns the decoded frame sequence.
+func postStream(t *testing.T, url string, req serve.SweepRequest) []routedFrame {
 	t.Helper()
-	req.Stream = !viaHeader
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/sweep", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if viaHeader {
-		hreq.Header.Set("Accept", serve.ContentTypeNDJSON)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
+	resp, err := http.Post(url+"/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +144,7 @@ func streamResults(t *testing.T, frames []routedFrame, nItems int) []SweepResult
 	return results
 }
 
-// The full elastic-ownership story through the router's v2 /sweep proxy:
+// The full elastic-ownership story through the router's /sweep proxy:
 // a replica that dies mid-sweep (at its first DES refine chunk of a mixed
 // sweep) fails over without corrupting the stream — per-item fidelity
 // labels and global order survive, byte-identical to single-process
@@ -251,10 +244,9 @@ func TestRouterStreamSweepAcrossKillRebalanceAndHandback(t *testing.T) {
 	front := httptest.NewServer(r.Handler())
 	defer front.Close()
 
-	// Sweep A: mixed, one item per chunk, streamed via the Accept header.
-	// The victim answers its analytic chunks, then dies at its first
+	// Sweep A: mixed, one item per chunk. The victim answers its analytic chunks, then dies at its first
 	// refine chunk; its refined items fail over.
-	frames := postStream(t, front.URL, true, serve.SweepRequest{
+	frames := postStream(t, front.URL, serve.SweepRequest{
 		SweepSpec: serve.SweepSpec{Fidelity: serve.FidelityMixed, Chunk: 1},
 		Items:     items,
 	})
@@ -301,7 +293,7 @@ func TestRouterStreamSweepAcrossKillRebalanceAndHandback(t *testing.T) {
 	}
 	failoversBefore := r.Stats(context.Background()).Failovers
 	resultsB := streamResults(t,
-		postStream(t, front.URL, false, serve.SweepRequest{Items: victimItems}),
+		postStream(t, front.URL, serve.SweepRequest{Items: victimItems}),
 		len(victimItems))
 	for i, res := range resultsB {
 		if res.Owner == victim || res.Replica == victim {
@@ -329,7 +321,7 @@ func TestRouterStreamSweepAcrossKillRebalanceAndHandback(t *testing.T) {
 	// byte-identical to sweep B's — rebalancing moved ownership, never the
 	// results.
 	resultsC := streamResults(t,
-		postStream(t, front.URL, true, serve.SweepRequest{Items: victimItems}),
+		postStream(t, front.URL, serve.SweepRequest{Items: victimItems}),
 		len(victimItems))
 	for i, res := range resultsC {
 		if res.Owner != victim || res.Replica != victim {
@@ -339,4 +331,200 @@ func TestRouterStreamSweepAcrossKillRebalanceAndHandback(t *testing.T) {
 	if !bytes.Equal(mergedJSON(t, resultsB), mergedJSON(t, resultsC)) {
 		t.Fatal("results diverge between the rebalanced and handed-back sweeps")
 	}
+}
+
+// frameLine renders one /sweep frame as its NDJSON line.
+func frameLine(t testing.TB, fr serve.SweepFrame) string {
+	t.Helper()
+	b, err := json.Marshal(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
+// HTTPClient.Sweep over a stub replica: result frames reach the sink as
+// they arrive, error frames rebuild the ring's error taxonomy, a stream cut
+// off before its terminal frame is a transport failure, malformed frames
+// fail the chunk, and a non-200 reply (a request rejected before anything
+// ran) classifies by status class.
+func TestHTTPClientSweepFrames(t *testing.T) {
+	idx := 2
+	results := frameLine(t, serve.SweepFrame{Frame: serve.FrameResult, Index: 0, Result: &serve.SweepResult{Shape: "2048x8192x4096"}}) +
+		frameLine(t, serve.SweepFrame{Frame: serve.FrameResult, Index: 1, Result: &serve.SweepResult{Shape: "4096x8192x4096"}})
+	envelope := func(msg string) string {
+		return `{"error":{"message":"` + msg + `","retryable":false}}`
+	}
+	for _, tc := range []struct {
+		name      string
+		status    int
+		body      string
+		delivered int
+		check     func(t *testing.T, err error)
+	}{
+		{
+			name:      "done",
+			status:    http.StatusOK,
+			body:      results + frameLine(t, serve.SweepFrame{Frame: serve.FrameDone, Count: 2}),
+			delivered: 2,
+			check: func(t *testing.T, err error) {
+				if err != nil {
+					t.Fatalf("err = %v, want nil after a done frame", err)
+				}
+			},
+		},
+		{
+			name:   "retryable error frame",
+			status: http.StatusOK,
+			body: results + frameLine(t, serve.SweepFrame{Frame: serve.FrameError, Salvaged: 2,
+				Error: &serve.ErrorBody{Message: "engine crashed mid-chunk", Retryable: true, Index: &idx}}),
+			delivered: 2,
+			check: func(t *testing.T, err error) {
+				var ce *serve.ChunkError
+				if !errors.As(err, &ce) || ce.Index != 2 {
+					t.Fatalf("err = %v, want a ChunkError at index 2", err)
+				}
+				if !retryable(err) || !replicaAnswered(err) {
+					t.Fatalf("err = %v: retryable %v, answered %v; want both", err, retryable(err), replicaAnswered(err))
+				}
+			},
+		},
+		{
+			name:   "non-retryable error frame",
+			status: http.StatusOK,
+			body: frameLine(t, serve.SweepFrame{Frame: serve.FrameError,
+				Error: &serve.ErrorBody{Message: "bad item", Index: new(int)}}),
+			check: func(t *testing.T, err error) {
+				var qe *QueryError
+				if !errors.As(err, &qe) || retryable(err) {
+					t.Fatalf("err = %v, want a non-retryable QueryError", err)
+				}
+			},
+		},
+		{
+			name:      "truncated",
+			status:    http.StatusOK,
+			body:      results,
+			delivered: 2,
+			check: func(t *testing.T, err error) {
+				if err == nil || replicaAnswered(err) {
+					t.Fatalf("err = %v, want a transport failure that does not prove liveness", err)
+				}
+			},
+		},
+		{
+			name:   "unknown frame kind",
+			status: http.StatusOK,
+			body:   `{"frame":"bogus"}` + "\n",
+			check: func(t *testing.T, err error) {
+				if err == nil || !strings.Contains(err.Error(), "unknown frame") {
+					t.Fatalf("err = %v, want an unknown-frame error", err)
+				}
+			},
+		},
+		{
+			name:   "result frame without a result",
+			status: http.StatusOK,
+			body:   `{"frame":"result","index":0}` + "\n",
+			check: func(t *testing.T, err error) {
+				if err == nil || !strings.Contains(err.Error(), "without a result") {
+					t.Fatalf("err = %v, want a missing-result error", err)
+				}
+			},
+		},
+		{
+			name:   "400",
+			status: http.StatusBadRequest,
+			body:   envelope("sweep request has no items"),
+			check: func(t *testing.T, err error) {
+				var qe *QueryError
+				if !errors.As(err, &qe) || qe.Status != http.StatusBadRequest || !strings.Contains(err.Error(), "no items") {
+					t.Fatalf("err = %v, want a QueryError with status 400 naming the cause", err)
+				}
+			},
+		},
+		{
+			name:   "413",
+			status: http.StatusRequestEntityTooLarge,
+			body:   envelope("sweep request body exceeds 1048576 bytes"),
+			check: func(t *testing.T, err error) {
+				var qe *QueryError
+				if !errors.As(err, &qe) || qe.Status != http.StatusRequestEntityTooLarge {
+					t.Fatalf("err = %v, want a QueryError with status 413", err)
+				}
+			},
+		},
+		{
+			name:   "503",
+			status: http.StatusServiceUnavailable,
+			body:   "not an envelope",
+			check: func(t *testing.T, err error) {
+				var re *ReplyError
+				if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable || !retryable(err) {
+					t.Fatalf("err = %v, want a retryable ReplyError with status 503", err)
+				}
+				if !strings.Contains(err.Error(), "503") {
+					t.Fatalf("err = %v does not fall back to the status for a garbage body", err)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				w.WriteHeader(tc.status)
+				_, _ = io.WriteString(w, tc.body)
+			}))
+			defer srv.Close()
+			got, err := collectClient(&HTTPClient{Base: srv.URL}, serve.SweepRequest{Items: make([]serve.SweepItem, 4)})
+			if len(got) != tc.delivered {
+				t.Fatalf("%d results delivered, want %d", len(got), tc.delivered)
+			}
+			tc.check(t, err)
+		})
+	}
+}
+
+// FuzzSweepFrames drives the one /sweep reply decoder with arbitrary
+// bytes. It must never panic, and it may return nil only once it has
+// decoded a done frame — after exactly the result frames that precede the
+// first one, each delivered once, in order.
+func FuzzSweepFrames(f *testing.F) {
+	result := frameLine(f, serve.SweepFrame{Frame: serve.FrameResult, Index: 1, Fidelity: serve.FidelityDES,
+		Result: &serve.SweepResult{Shape: "2048x8192x4096", Fidelity: serve.FidelityDES, Result: &core.Result{}}})
+	idx := 3
+	f.Add([]byte(result + result + frameLine(f, serve.SweepFrame{Frame: serve.FrameDone, Count: 2})))
+	f.Add([]byte(result + result[:len(result)/2]))
+	f.Add([]byte(result + frameLine(f, serve.SweepFrame{Frame: serve.FrameError, Salvaged: 1,
+		Error: &serve.ErrorBody{Message: "boom", Retryable: true, Index: &idx}})))
+	f.Add([]byte("\x00{]garbage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var delivered []int
+		err := (&HTTPClient{Base: "fuzz"}).sweepFrames(bytes.NewReader(data), func(i int, _ serve.SweepResult) error {
+			delivered = append(delivered, i)
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		// Independently find the first done frame; every frame before it
+		// must be a result frame the sink received.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var want []int
+		for {
+			var fr serve.SweepFrame
+			if dec.Decode(&fr) != nil {
+				t.Fatalf("sweepFrames returned nil on a stream without a done frame: %q", data)
+			}
+			if fr.Frame == serve.FrameDone {
+				break
+			}
+			if fr.Frame != serve.FrameResult || fr.Result == nil {
+				t.Fatalf("sweepFrames returned nil past a %q frame: %q", fr.Frame, data)
+			}
+			want = append(want, fr.Index)
+		}
+		if !slices.Equal(delivered, want) {
+			t.Fatalf("delivered indices %v, want %v", delivered, want)
+		}
+	})
 }
